@@ -12,6 +12,8 @@ import (
 	"io"
 	"os/exec"
 	"path/filepath"
+	"slices"
+	"strings"
 )
 
 // A Package is one loaded, type-checked analysis unit. Test files in the
@@ -36,6 +38,8 @@ type listedPackage struct {
 	GoFiles      []string
 	TestGoFiles  []string
 	XTestGoFiles []string
+	Deps         []string
+	Module       *struct{ Path string }
 	DepsErrors   []*listError
 	Error        *listError
 	Incomplete   bool
@@ -57,6 +61,10 @@ func Load(patterns []string) ([]*Package, error) {
 	fset := token.NewFileSet()
 	imp := importer.ForCompiler(fset, "source", nil)
 
+	byPath := make(map[string]*listedPackage, len(listed))
+	for _, lp := range listed {
+		byPath[lp.ImportPath] = lp
+	}
 	var pkgs []*Package
 	for _, lp := range listed {
 		if lp.Error != nil {
@@ -71,8 +79,14 @@ func Load(patterns []string) ([]*Package, error) {
 		if p != nil {
 			pkgs = append(pkgs, p)
 		}
-		// External test package, if any.
-		px, err := check(fset, imp, lp.ImportPath+"_test", lp.Dir, lp.XTestGoFiles)
+		// External test package, if any. When the package has in-package
+		// test files, the external tests may use what they export.
+		ximp := imp
+		if p != nil && len(lp.TestGoFiles) > 0 && lp.Module != nil {
+			ximp = &testImporter{fset: fset, base: imp, listed: byPath, module: lp.Module.Path,
+				under: lp.ImportPath, variant: p.Types, checked: map[string]*types.Package{}}
+		}
+		px, err := check(fset, ximp, lp.ImportPath+"_test", lp.Dir, lp.XTestGoFiles)
 		if err != nil {
 			return nil, err
 		}
@@ -81,6 +95,52 @@ func Load(patterns []string) ([]*Package, error) {
 		}
 	}
 	return pkgs, nil
+}
+
+// testImporter resolves an external test package's imports the way the
+// go tool builds its test binary: the package under test includes its
+// in-package test files, so export_test.go hooks resolve, and every
+// module package that depends on it is checked again against that
+// variant, so the test sees one identity for each of its types.
+type testImporter struct {
+	fset    *token.FileSet
+	base    types.Importer
+	listed  map[string]*listedPackage
+	module  string
+	under   string
+	variant *types.Package
+	checked map[string]*types.Package
+}
+
+func (ti *testImporter) Import(path string) (*types.Package, error) {
+	if path == ti.under {
+		return ti.variant, nil
+	}
+	if p, ok := ti.checked[path]; ok {
+		return p, nil
+	}
+	if path != ti.module && !strings.HasPrefix(path, ti.module+"/") {
+		return ti.base.Import(path)
+	}
+	lp := ti.listed[path]
+	if lp == nil {
+		// A module package outside the loaded patterns.
+		l, err := goList([]string{path})
+		if err != nil {
+			return nil, err
+		}
+		lp = l[0]
+		ti.listed[path] = lp
+	}
+	if !slices.Contains(lp.Deps, ti.under) {
+		return ti.base.Import(path)
+	}
+	p, err := check(ti.fset, ti, path, lp.Dir, lp.GoFiles)
+	if err != nil {
+		return nil, err
+	}
+	ti.checked[path] = p.Types
+	return p.Types, nil
 }
 
 // check parses and type-checks one unit; it returns nil for an empty

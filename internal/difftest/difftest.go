@@ -143,6 +143,7 @@ func firstDivergence(want, got string) string {
 // Fingerprint summarises the complete observable end state of a machine
 // — clock, counters, every task's accounting, every core's time split —
 // as a string two equivalent engines must reproduce byte-identically.
+// Work prints in its shortest exact form, so a drift of one ulp shows.
 // It is the machine-level analogue of Capture for workloads driven
 // below the experiment harness (the property-based cross-checks).
 func Fingerprint(m *sim.Machine) string {
@@ -151,7 +152,7 @@ func Fingerprint(m *sim.Machine) string {
 		m.Now(), m.Stats.Events, m.Stats.ContextSwitches, m.Stats.Wakeups,
 		m.Stats.TotalMigrations(), m.LiveTasks())
 	for _, t := range m.Tasks() {
-		fmt.Fprintf(&b, "task %d %s exec=%d work=%.9g mig=%d fin=%d core=%d st=%v\n",
+		fmt.Fprintf(&b, "task %d %s exec=%d work=%v mig=%d fin=%d core=%d st=%v\n",
 			t.ID, t.Name, t.ExecTime, t.WorkDone, t.Migrations, t.FinishedAt, t.CoreID, t.State)
 	}
 	for _, c := range m.Cores {

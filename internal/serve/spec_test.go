@@ -31,13 +31,13 @@ func TestCanonicalizeDefaultsAndValidation(t *testing.T) {
 	}
 
 	for _, bad := range []Spec{
-		{},                                      // no experiment
-		{Experiment: "no-such-experiment"},      // unregistered
-		{Experiment: "fig1", Reps: -1},          // bad reps
-		{Experiment: "fig1", Scale: -2},         // bad scale
-		{Experiment: "fig1", Perturb: "zap"},    // unknown family
-		{Experiment: "fig1", Shards: -1},        // bad shards
-		{Experiment: "fig1", Parallel: -3},      // bad parallel
+		{},                                   // no experiment
+		{Experiment: "no-such-experiment"},   // unregistered
+		{Experiment: "fig1", Reps: -1},       // bad reps
+		{Experiment: "fig1", Scale: -2},      // bad scale
+		{Experiment: "fig1", Perturb: "zap"}, // unknown family
+		{Experiment: "fig1", Shards: -1},     // bad shards
+		{Experiment: "fig1", Parallel: -3},   // bad parallel
 	} {
 		if _, err := bad.Canonicalize(); err == nil {
 			t.Errorf("spec %+v canonicalized without error", bad)

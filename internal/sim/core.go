@@ -43,18 +43,16 @@ type Core struct {
 	idle      bool
 	idleSince int64
 	lastRun   *task.Task
-	// memDomain is the index of the core's memory-bandwidth domain in
-	// Topo.MemDomains, -1 when no contention model is configured.
-	memDomain int
+	// mem is the core's memory-bandwidth domain, nil when no contention
+	// model is configured.
+	mem *memDomain
 	// Contention neighbourhoods, precomputed at New so the effSpeed and
 	// settle/rearm hot paths walk small int slices instead of decoding
 	// affinity-mask words: smtMates are the other hardware contexts of
-	// this physical core; memCores are all cores of this core's memory
-	// domain (self included — the demand sum wants it); shareMates is
-	// smtMates ∪ (memCores minus self minus smtMates), the cores whose
-	// effective speed depends on this core's occupancy.
+	// this physical core; shareMates is smtMates ∪ (mem.cores minus self
+	// minus smtMates), the cores whose effective speed depends on this
+	// core's occupancy.
 	smtMates   []int32
-	memCores   []int32
 	shareMates []int32
 
 	// online reports whether the core participates in scheduling. An
@@ -161,15 +159,54 @@ func (c *Core) IdleTime() time.Duration {
 // core are exact as of Machine.Now.
 func (c *Core) Sync() { c.account() }
 
+// memDomain is one memory-bandwidth domain of the contention model: its
+// capacity, its cores in topology order, and a memo of their demand.
+// Padded so shard workers filling the memos of different domains never
+// share a cache line.
+type memDomain struct {
+	capacity float64
+	cores    []int32
+	// demand memoizes Machine.demand while valid. Every change that can
+	// move it is preceded by a settleShared on the changing core, which
+	// clears valid; advanceCurrent clears it again after a program step.
+	demand float64
+	valid  bool
+	_      [64]byte
+}
+
+// demand returns the memory-bandwidth demand on d: the MemIntensity of
+// every task computing on one of its cores, summed in topology order.
+// The sum is kept until the domain's demand next moves, so an occupancy
+// change that settles and re-arms every domain mate sums the domain
+// once, not once per mate. It is recomputed in the same order, never
+// kept as a running total, so it rounds exactly as a fresh sum does.
+func (m *Machine) demand(d *memDomain) float64 {
+	if !d.valid {
+		sum := 0.0
+		for _, id := range d.cores {
+			// Only computing tasks stress the memory path: a thread
+			// spinning at a barrier issues no memory traffic.
+			if o := m.Cores[id].cur; o != nil && o.Cur.Kind == task.ExecCompute {
+				sum += o.MemIntensity
+			}
+		}
+		d.demand, d.valid = sum, true
+	}
+	return d.demand
+}
+
 // effSpeed returns the work retired per on-CPU nanosecond when t runs
 // on this core now: base clock × dynamic frequency × NUMA-locality
 // factor × SMT-contention factor × memory-bandwidth contention factor.
 // Kernel-noise theft (c.stolen) is applied separately — it reduces the
-// on-CPU time itself, not the retirement rate.
+// on-CPU time itself, not the retirement rate. t is always c.cur, so the
+// demand on c's domain already counts it.
 func (c *Core) effSpeed(t *task.Task) float64 {
 	s := c.info.BaseSpeed * c.freq
 	if c.m.Topo.RemoteMemoryPenalty > 0 && t.HomeNode >= 0 && t.HomeNode != c.info.Node {
-		s /= 1 + c.m.Topo.RemoteMemoryPenalty*t.MemIntensity
+		// The explicit conversion rounds the product, so no platform
+		// may fuse it into the add.
+		s /= 1 + float64(c.m.Topo.RemoteMemoryPenalty*t.MemIntensity)
 	}
 	for _, sid := range c.smtMates {
 		if c.m.Cores[sid].cur != nil {
@@ -177,24 +214,11 @@ func (c *Core) effSpeed(t *task.Task) float64 {
 			break
 		}
 	}
-	if t.MemIntensity > 0 && t.Cur.Kind == task.ExecCompute && c.memDomain >= 0 {
-		d := &c.m.Topo.MemDomains[c.memDomain]
-		demand := 0.0
-		for _, id := range c.memCores {
-			// Only computing tasks stress the memory path: a thread
-			// spinning at a barrier issues no memory traffic.
-			if o := c.m.Cores[id].cur; o != nil && o.Cur.Kind == task.ExecCompute {
-				demand += o.MemIntensity
-			} else if o == nil && int(id) == c.id {
-				// Called before c.cur is set (scheduleStop timing):
-				// count t itself.
-				demand += t.MemIntensity
-			}
-		}
-		if demand > d.Capacity {
+	if d := c.mem; t.MemIntensity > 0 && t.Cur.Kind == task.ExecCompute && d != nil {
+		if demand := c.m.demand(d); demand > d.capacity {
 			// The memory-bound fraction of the task slows to its fair
 			// share of the saturated path.
-			s *= 1 - t.MemIntensity + t.MemIntensity*d.Capacity/demand
+			s *= 1 - t.MemIntensity + t.MemIntensity*d.capacity/demand
 		}
 	}
 	return s
@@ -553,11 +577,17 @@ func (c *Core) advanceCurrent() {
 	// changes the demand on its memory domain even though core
 	// occupancy is unchanged: settle the domain mates at the old
 	// demand and re-arm them at the new one.
-	memShift := t.MemIntensity > 0 && c.memDomain >= 0
+	memShift := t.MemIntensity > 0 && c.mem != nil
 	if memShift {
 		c.m.settleShared(c)
 	}
 	c.m.advance(t)
+	if memShift {
+		// The program step runs between the settle and the new action:
+		// a barrier release inside it can dispatch a domain mate and
+		// refill the demand memo while t still counts as computing.
+		c.mem.valid = false
+	}
 	if c.cur == t {
 		// Still running (new compute or on-CPU wait): restart timing.
 		c.scheduleStop()
@@ -570,15 +600,18 @@ func (c *Core) advanceCurrent() {
 // stopCurrent detaches the running task from the CPU. Accounting must be
 // settled first. The task is left off-queue; the caller requeues,
 // blocks or exits it. Dependent cores are settled and re-armed because
-// the occupancy change alters their contention factors.
+// the occupancy change alters their contention factors. The settle
+// comes before the stint is traced: an exit or sleep reaches here with
+// its new action already set, and the settle drops a demand memo that
+// a barrier release earlier in the same program step refilled.
 func (c *Core) stopCurrent() {
+	c.m.settleShared(c)
 	if c.m.tracer != nil && c.cur != nil {
 		if d := c.clk() - c.stintStart; d > 0 {
 			c.m.Emit(trace.Event{Kind: trace.KindRunStint, Core: c.id,
 				Task: c.cur.ID, TaskName: c.cur.Name, Dur: d})
 		}
 	}
-	c.m.settleShared(c)
 	c.cur = nil
 	c.m.events.Remove(c.stopEv)
 	c.needResched = false

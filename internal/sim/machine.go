@@ -168,26 +168,26 @@ type Machine struct {
 	Cores []*Core
 	Stats Stats
 
-	cfg      Config
-	events   *eventq.Sharded
-	now      int64
-	rng      *xrand.RNG
-	tasks    []*task.Task
-	actors   []Actor
-	placer   Placer
+	cfg       Config
+	events    *eventq.Sharded
+	now       int64
+	rng       *xrand.RNG
+	tasks     []*task.Task
+	actors    []Actor
+	placer    Placer
 	idleFns   []func(c *Core)
 	doneFns   []func(t *task.Task)
 	startFns  []func(t *task.Task)
 	moveFns   []func(t *task.Task, from, to int)
 	onlineFns []func(c *Core, online bool)
 	nOnline   int
-	running  bool
-	stopped  bool
-	nextTask int
-	live     int
-	tracer   trace.Tracer
-	metrics  *metrics.Registry
-	traceSeq uint64
+	running   bool
+	stopped   bool
+	nextTask  int
+	live      int
+	tracer    trace.Tracer
+	metrics   *metrics.Registry
+	traceSeq  uint64
 	// sleepTimers holds one reusable wake event per task (indexed by
 	// task ID, grown on demand): timed sleeps and poll-wait backoffs are
 	// the highest-churn timers in the simulator, and a task has at most
@@ -198,10 +198,12 @@ type Machine struct {
 	// Shard layout (fixed at New): socket-aligned so every SMT pair and
 	// memory domain lives inside one shard, keeping contention models
 	// shard-local. shardOf maps core → shard; shardCores is the inverse.
-	nShards    int
-	shardOf    []int32
-	shardCores []cpuset.Set
+	nShards     int
+	shardOf     []int32
+	shardCores  []cpuset.Set
 	shardStates []shardState
+	// memDomains is the contention state of Topo.MemDomains, same order.
+	memDomains []memDomain
 	// shardClosed records whether SMT siblings and memory domains are
 	// contained in single shards — a precondition of parallel windows
 	// (always true for socket-aligned partitions of sane topologies).
@@ -245,10 +247,20 @@ func New(tp *topo.Topology, cfg Config) *Machine {
 	m.Stats.Migrations = make(map[string]int)
 	m.partition(cfg.Shards)
 	m.events = eventq.NewSharded(m.nShards)
+	m.memDomains = make([]memDomain, len(tp.MemDomains))
+	for i, d := range tp.MemDomains {
+		m.memDomains[i].capacity = d.Capacity
+		for _, id := range d.Cores.Cores() {
+			m.memDomains[i].cores = append(m.memDomains[i].cores, int32(id))
+		}
+	}
 	for i := range tp.Cores {
-		c := &Core{id: i, info: &tp.Cores[i], m: m, memDomain: tp.MemDomainOf(i),
+		c := &Core{id: i, info: &tp.Cores[i], m: m,
 			online: true, freq: 1,
 			shard: int(m.shardOf[i])}
+		if d := tp.MemDomainOf(i); d >= 0 {
+			c.mem = &m.memDomains[d]
+		}
 		c.sh = &m.shardStates[c.shard]
 		c.sched = cfg.NewScheduler(i)
 		c.sched.Attach(m, i)
@@ -265,11 +277,10 @@ func New(tp *topo.Topology, cfg Config) *Machine {
 				c.shareMates = append(c.shareMates, int32(sid))
 			}
 		}
-		if c.memDomain >= 0 {
-			for _, sid := range tp.MemDomains[c.memDomain].Cores.Cores() {
-				c.memCores = append(c.memCores, int32(sid))
-				if sid != c.id && !c.info.SMTSiblings.Has(sid) {
-					c.shareMates = append(c.shareMates, int32(sid))
+		if c.mem != nil {
+			for _, sid := range c.mem.cores {
+				if int(sid) != c.id && !c.info.SMTSiblings.Has(int(sid)) {
+					c.shareMates = append(c.shareMates, sid)
 				}
 			}
 		}
@@ -1118,9 +1129,15 @@ func (m *Machine) sharedWith(c *Core, fn func(o *Core)) {
 
 // settleShared settles accounting on the dependent cores before this
 // core's occupancy changes, so their in-progress stints are charged at
-// the contention level that actually held.
+// the contention level that actually held. It then drops the domain's
+// demand memo: every change that can move a domain's demand is preceded
+// by a settle on the changing core, and the first read after it sums
+// the domain afresh.
 func (m *Machine) settleShared(c *Core) {
 	m.sharedWith(c, func(o *Core) { o.account() })
+	if c.mem != nil {
+		c.mem.valid = false
+	}
 }
 
 // rearmShared recomputes the dependent cores' stop events after this
