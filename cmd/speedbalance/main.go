@@ -18,222 +18,193 @@
 //	-hog CORE         pin a cpu-hog competitor to CORE (-1: none)
 //	-makej N          run a make -j N competitor (0: none)
 //	-baseline         also run LOAD and PINNED for comparison
-//	-parallel N       worker pool for the independent runs (0: GOMAXPROCS)
+//	-parallel N       workers for the independent runs (0: GOMAXPROCS)
 //	-timeline         print an ASCII core-occupancy chart
 //	-seed N           RNG seed
 //
-// With -baseline the three runs (SPEED, LOAD, PINNED) are independent
-// simulations; -parallel fans them over a worker pool. Each run owns its
-// machine and seed, so the report is byte-identical at any pool width.
+// The SPEED run and the -baseline LOAD and PINNED runs are cells of one
+// exp.Runner, the experiment harness behind `lbos run`: each owns its
+// machine and seed, so the report is byte-identical at any -parallel.
+// Flag values the chosen machine cannot honour are rejected with exit
+// status 2 before any run starts.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
-	lbos "repro"
+	"repro/internal/competing"
+	"repro/internal/cpuset"
+	"repro/internal/exp"
+	"repro/internal/sim"
 	"repro/internal/speedbal"
-	"repro/internal/timeline"
+	"repro/internal/spmd"
+	"repro/internal/topo"
 )
 
-func main() {
-	machine := flag.String("machine", "tigerton", "machine model")
-	threads := flag.Int("threads", 16, "application threads")
-	cores := flag.Int("cores", 0, "restrict to first N cores (0: all)")
-	workMS := flag.Float64("work", 100, "per-thread work between barriers (ms)")
-	iters := flag.Int("iters", 50, "barrier iterations")
-	model := flag.String("model", "upc", "programming model")
-	intervalMS := flag.Int("interval", 100, "balance interval (ms)")
-	threshold := flag.Float64("threshold", 0.9, "T_s speed threshold")
-	hog := flag.Int("hog", -1, "pin a cpu-hog to this core")
-	makej := flag.Int("makej", 0, "make -j width competitor")
-	baseline := flag.Bool("baseline", false, "also run LOAD and PINNED")
-	parallel := flag.Int("parallel", 0, "worker pool for independent runs (0: GOMAXPROCS)")
-	showTimeline := flag.Bool("timeline", false, "print an ASCII core-occupancy chart")
-	seed := flag.Uint64("seed", 1, "RNG seed")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	workers := *parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// run is the whole command: it parses args, writes the report to stdout
+// and progress and errors to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("speedbalance", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	machine := fs.String("machine", "tigerton", "machine model")
+	threads := fs.Int("threads", 16, "application threads")
+	cores := fs.Int("cores", 0, "restrict to first N cores (0: all)")
+	workMS := fs.Float64("work", 100, "per-thread work between barriers (ms)")
+	iters := fs.Int("iters", 50, "barrier iterations")
+	model := fs.String("model", "upc", "programming model")
+	intervalMS := fs.Int("interval", 100, "balance interval (ms)")
+	threshold := fs.Float64("threshold", 0.9, "T_s speed threshold")
+	hog := fs.Int("hog", -1, "pin a cpu-hog to this core")
+	makej := fs.Int("makej", 0, "make -j width competitor")
+	baseline := fs.Bool("baseline", false, "also run LOAD and PINNED")
+	parallel := fs.Int("parallel", 0, "workers for independent runs (0: GOMAXPROCS)")
+	showTimeline := fs.Bool("timeline", false, "print an ASCII core-occupancy chart")
+	seed := fs.Uint64("seed", 1, "RNG seed")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "speedbalance: "+format+"\n", a...)
+		return 2
 	}
 
 	tp, err := machineByName(*machine)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return fail("%v", err)
 	}
 	mdl, err := modelByName(*model)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return fail("%v", err)
 	}
-	aff := tp().AllCores()
+	n := tp().NumCores()
+	switch {
+	case *threads < 1:
+		return fail("-threads %d: need at least one thread", *threads)
+	case *cores > n:
+		return fail("-cores %d: %s has %d cores", *cores, *machine, n)
+	case *hog >= n:
+		return fail("-hog %d: %s has cores 0-%d", *hog, *machine, n-1)
+	}
+	aff := cpuset.All(n)
 	if *cores > 0 {
-		aff = lbos.Cores(*cores)
-	}
-	spec := lbos.AppSpec{
-		Name:             "app",
-		Threads:          *threads,
-		Iterations:       *iters,
-		WorkPerIteration: *workMS * lbos.Millisecond,
-		Model:            mdl,
-		Affinity:         aff,
-	}
-	cfg := lbos.SpeedConfig{
-		Interval:  time.Duration(*intervalMS) * time.Millisecond,
-		Threshold: *threshold,
+		aff = cpuset.All(*cores)
 	}
 
-	setup := func(sys *lbos.System) {
-		if *hog >= 0 {
-			sys.AddCPUHog(*hog)
-		}
-		if *makej > 0 {
-			sys.AddMakeJ(*makej)
-		}
-	}
-
-	// The SPEED run and the optional baselines are independent
-	// simulations, each with its own machine and seed: fan them over the
-	// worker pool and print in fixed order afterwards.
-	type baseRes struct {
-		name    string
-		elapsed time.Duration
-		speedup float64
-	}
-	var (
-		app *lbos.App
-		bal = speedbal.New(cfg)
-		rec *timeline.Recorder
-	)
-	runs := []func(){func() {
-		sys := lbos.NewSystem(tp(), lbos.WithSeed(*seed))
-		setup(sys)
-		if *showTimeline {
-			rec = &timeline.Recorder{}
-			sys.Machine().AddActor(rec)
-		}
-		app = sys.BuildApp(spec)
-		bal.Launch(sys.Machine(), app)
-		sys.RunUntil(app)
-	}}
-	var bases []baseRes
-	if *baseline {
-		bases = make([]baseRes, 2)
-		for i, b := range []string{"LOAD", "PINNED"} {
-			i, b := i, b
-			runs = append(runs, func() {
-				sys := lbos.NewSystem(tp(), lbos.WithSeed(*seed))
-				setup(sys)
-				var a *lbos.App
-				if b == "LOAD" {
-					a = sys.StartApp(spec)
-				} else {
-					a = sys.StartPinned(spec)
-				}
-				sys.RunUntil(a)
-				bases[i] = baseRes{b, a.Elapsed(), a.Speedup()}
-			})
-		}
-	}
-
-	if workers > len(runs) {
-		workers = len(runs)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	var progressMu sync.Mutex
-	finished := 0
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				runs[i]()
-				if len(runs) > 1 {
-					progressMu.Lock()
-					finished++ //lint:allow-slotsafety progressMu serialises this progress counter
-					fmt.Fprintf(os.Stderr, "speedbalance: %d/%d runs done\n", finished, len(runs))
-					progressMu.Unlock()
-				}
+	o := exp.RunOpts{
+		Topo: tp,
+		Spec: spmd.Spec{
+			Name:             "app",
+			Threads:          *threads,
+			Iterations:       *iters,
+			WorkPerIteration: *workMS * 1e6,
+			Model:            mdl,
+			Affinity:         aff,
+		},
+		Seed: *seed,
+		SpeedCfg: &speedbal.Config{
+			Interval:  time.Duration(*intervalMS) * time.Millisecond,
+			Threshold: *threshold,
+		},
+		Setup: func(m *sim.Machine) {
+			if *hog >= 0 {
+				competing.CPUHog(m, *hog)
 			}
-		}()
+			if *makej > 0 {
+				m.AddActor(&competing.MakeJ{Width: *makej})
+			}
+		},
 	}
-	for i := range runs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
 
-	fmt.Printf("speedbalance: %d threads on %s (%d cores allowed), %s barriers\n",
+	// The SPEED run and the baselines are independent cells; the
+	// runner delivers their results in submission order.
+	r := exp.NewRunner(&exp.Context{Parallelism: *parallel, Log: stderr})
+	so := o
+	so.Strategy = exp.StratSpeed
+	var stints stintLog
+	if *showTimeline {
+		so.Tracer = &stints
+	}
+	var res exp.RunResult
+	r.Submit(so, func(rr exp.RunResult) { res = rr })
+	var baselines []exp.Strategy
+	if *baseline {
+		baselines = []exp.Strategy{exp.StratLoad, exp.StratPinned}
+	}
+	bases := make([]exp.RunResult, len(baselines))
+	for i, s := range baselines {
+		bo := o
+		bo.Strategy = s
+		r.Submit(bo, func(rr exp.RunResult) { bases[i] = rr })
+	}
+	r.Wait()
+
+	fmt.Fprintf(stdout, "speedbalance: %d threads on %s (%d cores allowed), %s barriers\n",
 		*threads, *machine, aff.Count(), mdl.Name)
-	fmt.Printf("  elapsed %v   speedup %.2f   migrations %d\n\n",
-		app.Elapsed().Round(time.Millisecond), app.Speedup(), bal.Migrations)
-	fmt.Printf("  %-8s %12s %12s %6s %6s\n", "thread", "exec", "speed", "migs", "core")
-	for _, t := range app.Tasks {
-		speed := float64(t.ExecTime) / float64(app.Elapsed())
-		fmt.Printf("  %-8s %12v %12.3f %6d %6d\n",
+	fmt.Fprintf(stdout, "  elapsed %v   speedup %.2f   migrations %d\n\n",
+		res.Elapsed.Round(time.Millisecond), res.Speedup, res.SpeedbalMigrations)
+	fmt.Fprintf(stdout, "  %-8s %12s %12s %6s %6s\n", "thread", "exec", "speed", "migs", "core")
+	for _, t := range res.App.Tasks {
+		speed := float64(t.ExecTime) / float64(res.Elapsed)
+		fmt.Fprintf(stdout, "  %-8s %12v %12.3f %6d %6d\n",
 			t.Name, t.ExecTime.Round(time.Millisecond), speed, t.Migrations, t.CoreID)
 	}
 
-	if rec != nil {
-		fmt.Println()
-		rec.Gantt(os.Stdout, 100)
-		fmt.Print("utilisation:")
-		for c, u := range rec.Utilisation() {
-			if c%8 == 0 {
-				fmt.Print("\n  ")
-			}
-			fmt.Printf("core%-2d %3.0f%%  ", c, u*100)
-		}
-		fmt.Println()
+	if *showTimeline {
+		fmt.Fprintln(stdout)
+		writeChart(stdout, res.Machine, stints)
 	}
 
 	if *baseline {
-		fmt.Println()
-		for _, b := range bases {
-			fmt.Printf("  %-7s elapsed %v   speedup %.2f\n",
-				b.name+":", b.elapsed.Round(time.Millisecond), b.speedup)
+		fmt.Fprintln(stdout)
+		for i, s := range baselines {
+			fmt.Fprintf(stdout, "  %-7s elapsed %v   speedup %.2f\n",
+				string(s)+":", bases[i].Elapsed.Round(time.Millisecond), bases[i].Speedup)
 		}
 	}
+	return 0
 }
 
-func machineByName(name string) (func() *lbos.Topology, error) {
+func machineByName(name string) (func() *topo.Topology, error) {
 	switch name {
 	case "tigerton":
-		return lbos.Tigerton, nil
+		return topo.Tigerton, nil
 	case "barcelona":
-		return lbos.Barcelona, nil
+		return topo.Barcelona, nil
 	case "nehalem":
-		return lbos.Nehalem, nil
+		return topo.Nehalem, nil
 	}
 	if n, ok := strings.CutPrefix(name, "smp"); ok {
 		if k, err := strconv.Atoi(n); err == nil && k > 0 && k <= 64 {
-			return func() *lbos.Topology { return lbos.SMP(k) }, nil
+			return func() *topo.Topology { return topo.SMP(k) }, nil
 		}
 	}
 	return nil, fmt.Errorf("unknown machine %q (tigerton|barcelona|nehalem|smpN)", name)
 }
 
-func modelByName(name string) (lbos.Model, error) {
+func modelByName(name string) (spmd.Model, error) {
 	switch name {
 	case "upc":
-		return lbos.UPC(), nil
+		return spmd.UPC(), nil
 	case "upc-sleep":
-		return lbos.UPCSleep(), nil
+		return spmd.UPCSleep(), nil
 	case "mpi":
-		return lbos.MPI(), nil
+		return spmd.MPI(), nil
 	case "openmp":
-		return lbos.OpenMPDefault(), nil
+		return spmd.OpenMPDefault(), nil
 	case "openmp-inf":
-		return lbos.OpenMPInfinite(), nil
+		return spmd.OpenMPInfinite(), nil
 	}
-	return lbos.Model{}, fmt.Errorf("unknown model %q", name)
+	return spmd.Model{}, fmt.Errorf("unknown model %q", name)
 }

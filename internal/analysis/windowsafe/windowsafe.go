@@ -35,8 +35,9 @@
 // A Machine (or registry) the worker constructs for itself is exempt:
 // calls whose receiver chain roots at a variable declared inside the
 // body of the function under scrutiny are goroutine-local, the pattern
-// the speedbalance CLI's run-per-goroutine workers use. Receivers and
-// parameters are not exempt — they arrived from outside the goroutine.
+// exp.Runner cells follow: exp.Run builds each cell's machine inside the
+// cell. Receivers and parameters are not exempt — they arrived from
+// outside the goroutine.
 //
 // Diagnostics on reachable functions carry the witness call path from
 // the worker literal, so the finding is actionable without re-deriving

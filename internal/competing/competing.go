@@ -98,14 +98,14 @@ func (mk *MakeJ) spawn() {
 	// occasional page-cache stalls, write output (I/O sleep).
 	work := mk.JobWork * (0.5 + mk.rng.Float64())
 	bursts := 4
-	actions := []task.Action{task.Sleep{D: time.Duration(1+mk.rng.Intn(3)) * time.Millisecond}}
+	actions := []task.Action{task.Sleep(time.Duration(1+mk.rng.Intn(3)) * time.Millisecond)}
 	for i := 0; i < bursts; i++ {
-		actions = append(actions, task.Compute{Work: work / float64(bursts)})
+		actions = append(actions, task.Compute(work/float64(bursts)))
 		if i < bursts-1 {
-			actions = append(actions, task.Sleep{D: 500 * time.Microsecond})
+			actions = append(actions, task.Sleep(500*time.Microsecond))
 		}
 	}
-	actions = append(actions, task.Sleep{D: 2 * time.Millisecond})
+	actions = append(actions, task.Sleep(2*time.Millisecond))
 	t := mk.m.NewTask(fmt.Sprintf("make.job%d", mk.JobsFinished), &task.Seq{Actions: actions})
 	t.Group = "make"
 	t.Affinity = mk.Affinity
@@ -136,12 +136,7 @@ func (ia *Interactive) Start(m *sim.Machine) {
 		ia.Burst = 2e6
 	}
 	ia.Task = m.NewTask("interactive", &task.Loop{
-		Body: func(int) []task.Action {
-			return []task.Action{
-				task.Compute{Work: ia.Burst},
-				task.Sleep{D: ia.Period},
-			}
-		},
+		Body: []task.Action{task.Compute(ia.Burst), task.Sleep(ia.Period)},
 	})
 	m.Start(ia.Task)
 }

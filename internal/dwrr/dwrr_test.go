@@ -112,12 +112,7 @@ func TestSleepWakeConsistency(t *testing.T) {
 	m, _ := newDWRR(2, 5)
 	sleeper := m.NewTask("sleeper", &task.Loop{
 		Iterations: 50,
-		Body: func(int) []task.Action {
-			return []task.Action{
-				task.Compute{Work: 5e6},
-				task.Sleep{D: 20 * time.Millisecond},
-			}
-		},
+		Body:       []task.Action{task.Compute(5e6), task.Sleep(20 * time.Millisecond)},
 	})
 	hog := m.NewTask("hog", &task.ComputeForever{Chunk: 1e9})
 	m.Start(sleeper)
@@ -138,7 +133,7 @@ func TestSleepWakeConsistency(t *testing.T) {
 func TestMigrationVolume(t *testing.T) {
 	m, g := newDWRR(2, 6)
 	for i := 0; i < 3; i++ {
-		tk := m.NewTask("t", &task.Seq{Actions: []task.Action{task.Compute{Work: 3e9}}})
+		tk := m.NewTask("t", &task.Seq{Actions: []task.Action{task.Compute(3e9)}})
 		m.Start(tk)
 	}
 	m.Run(int64(time.Minute))
@@ -168,12 +163,7 @@ func TestWakeAcrossRoundsGetsFreshBudget(t *testing.T) {
 	const iters = 20
 	sleeper := m.NewTask("sleeper", &task.Loop{
 		Iterations: iters,
-		Body: func(int) []task.Action {
-			return []task.Action{
-				task.Compute{Work: 95e6},
-				task.Sleep{D: 300 * time.Millisecond},
-			}
-		},
+		Body:       []task.Action{task.Compute(95e6), task.Sleep(300 * time.Millisecond)},
 	})
 	m.Start(sleeper)
 	m.Run(int64(time.Minute))

@@ -111,7 +111,7 @@ func TestStalePlacementClumps(t *testing.T) {
 func TestNewIdlePull(t *testing.T) {
 	m, b := newMachine(topo.SMP(2), 5)
 	// A short-lived task on core 1 plus two hogs on core 0.
-	short := m.NewTask("short", &task.Seq{Actions: []task.Action{task.Compute{Work: 30e6}}})
+	short := m.NewTask("short", &task.Seq{Actions: []task.Action{task.Compute(30e6)}})
 	m.StartOn(short, 1)
 	h := m.NewTask("hog1", &task.ComputeForever{Chunk: 1e9})
 	m.StartOn(h, 0)
@@ -171,7 +171,7 @@ func TestYieldWaitersCountAsLoad(t *testing.T) {
 	// never fires), plus two hogs on core 0.
 	never := newNeverCond()
 	waiter := m.NewTask("waiter", &task.Seq{Actions: []task.Action{
-		task.WaitFor{C: never, Policy: task.WaitYield},
+		task.WaitFor(never, task.WaitYield, 0),
 	}})
 	m.StartOn(waiter, 1)
 	hogs(m, 2, 0)
@@ -188,7 +188,7 @@ func TestBlockWaitersDoNotCountAsLoad(t *testing.T) {
 	m, _ := newMachine(topo.SMP(2), 9)
 	never := newNeverCond()
 	waiter := m.NewTask("waiter", &task.Seq{Actions: []task.Action{
-		task.WaitFor{C: never, Policy: task.WaitBlock},
+		task.WaitFor(never, task.WaitBlock, 0),
 	}})
 	m.StartOn(waiter, 1)
 	hogs(m, 2, 0)

@@ -140,6 +140,10 @@ type Gen struct {
 	rates   []float64 // per-class arrival rate, jobs per ns
 	endAt   int64     // last admissible arrival time (MaxInt64 if endless)
 
+	// steps holds each sequential class's action list, built once and
+	// shared by every job of the class (nil for parallel classes).
+	steps [][]task.Action
+
 	jobs   map[*task.Task]*job
 	cursor int // FixedAlloc round-robin core cursor
 	nextID int
@@ -173,11 +177,28 @@ func New(cfg Config) *Gen {
 			panic(fmt.Sprintf("openload: class %d (%q) needs positive Weight and Work", i, c.Name))
 		}
 	}
-	return &Gen{
+	g := &Gen{
 		cfg:     cfg,
 		classes: append([]Class(nil), cfg.Classes...),
 		jobs:    make(map[*task.Task]*job),
 	}
+	g.steps = make([][]task.Action, len(g.classes))
+	for k, c := range g.classes {
+		if c.Threads > 1 {
+			continue
+		}
+		// Bursts computes separated by Sleep. The final burst ends the
+		// job; a trailing think time would pad every interactive
+		// sojourn by Sleep.
+		bursts := max(c.Bursts, 1)
+		for i := 0; i < bursts; i++ {
+			if i > 0 {
+				g.steps[k] = append(g.steps[k], task.Sleep(c.Sleep))
+			}
+			g.steps[k] = append(g.steps[k], task.Compute(c.Work/float64(bursts)))
+		}
+	}
+	return g
 }
 
 // Start implements sim.Actor: split one arrival stream per class, arm
@@ -241,20 +262,14 @@ func (g *Gen) arrive(k int, now int64) {
 // admit builds the job's tasks and starts them.
 func (g *Gen) admit(k int, now int64) {
 	c := &g.classes[k]
-	threads := c.Threads
-	if threads < 1 {
-		threads = 1
-	}
+	threads := max(c.Threads, 1)
 	id := g.nextID
 	g.nextID++
 	j := &job{class: k, arrivedAt: now, live: threads, firstRun: -1}
 
-	var bar *spmd.Barrier
-	if threads > 1 {
-		bar = spmd.NewBarrier(threads)
-	}
+	body := g.jobBody(k)
 	for i := 0; i < threads; i++ {
-		t := g.m.NewTask(fmt.Sprintf("%s.%d.%d", c.Name, id, i), g.program(c, bar))
+		t := g.m.NewTask(fmt.Sprintf("%s.%d.%d", c.Name, id, i), program(c, body))
 		t.Group = Group
 		t.Nice = c.Nice
 		t.Sched.Weight = task.NiceWeight(c.Nice)
@@ -272,41 +287,30 @@ func (g *Gen) admit(k int, now int64) {
 	g.Admitted++
 }
 
-// program builds one thread's program for a class-c job.
-func (g *Gen) program(c *Class, bar *spmd.Barrier) task.Program {
-	if bar != nil {
-		iters := c.Iterations
-		if iters < 1 {
-			iters = 1
-		}
-		model := c.Model
-		if model.Name == "" {
-			model = spmd.UPC()
-		}
-		perIter := c.Work / float64(bar.N()) / float64(iters)
-		wait := task.WaitFor{C: bar, Policy: model.Policy, Blocktime: model.Blocktime}
-		return &task.Loop{
-			Iterations: iters,
-			Body:       func(int) []task.Action { return []task.Action{task.Compute{Work: perIter}, wait} },
-		}
+// jobBody is the action list every thread of one class-k job runs: the
+// class's shared steps, or for a parallel job one compute-and-barrier
+// round on the job's own barrier.
+func (g *Gen) jobBody(k int) []task.Action {
+	c := &g.classes[k]
+	if c.Threads <= 1 {
+		return g.steps[k]
 	}
-	bursts := c.Bursts
-	if bursts <= 1 {
-		return &task.Seq{Actions: []task.Action{task.Compute{Work: c.Work}}}
+	model := c.Model
+	if model.Name == "" {
+		model = spmd.UPC()
 	}
-	perBurst := c.Work / float64(bursts)
-	sleep := c.Sleep
-	return &task.Loop{
-		Iterations: bursts,
-		Body: func(iter int) []task.Action {
-			if iter == bursts-1 {
-				// The final burst ends the job; a trailing think time
-				// would pad every interactive sojourn by Sleep.
-				return []task.Action{task.Compute{Work: perBurst}}
-			}
-			return []task.Action{task.Compute{Work: perBurst}, task.Sleep{D: sleep}}
-		},
+	bar := spmd.NewBarrier(c.Threads)
+	perIter := c.Work / float64(c.Threads) / float64(max(c.Iterations, 1))
+	return []task.Action{task.Compute(perIter), task.WaitFor(bar, model.Policy, model.Blocktime)}
+}
+
+// program is one thread of a class-c job running body: the list once
+// for a sequential job, once per barrier round for a parallel one.
+func program(c *Class, body []task.Action) task.Program {
+	if c.Threads > 1 {
+		return &task.Loop{Body: body, Iterations: max(c.Iterations, 1)}
 	}
+	return &task.Seq{Actions: body}
 }
 
 // taskDone folds a finished thread into its job, emitting the job's

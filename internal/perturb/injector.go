@@ -187,7 +187,7 @@ func (p *kthreadProgram) Next(t *task.Task, now int64) task.Action {
 	cfg := &p.in.cfg.Noise
 	if !p.started {
 		p.started = true
-		return task.Sleep{D: time.Duration(p.rng.Jitter(int64(cfg.Period)) + 1)}
+		return task.Sleep(time.Duration(p.rng.Jitter(int64(cfg.Period)) + 1))
 	}
 	if p.burst {
 		// Burst done; sleep out the gap.
@@ -195,7 +195,7 @@ func (p *kthreadProgram) Next(t *task.Task, now int64) task.Action {
 		if p.in.m.Tracing() {
 			p.in.m.Emit(trace.Event{Kind: trace.KindNoiseEnd, Core: t.CoreID, Label: "kthread", SK: 0})
 		}
-		return task.Sleep{D: time.Duration(jittered(p.rng, cfg.Period, cfg.Jitter))}
+		return task.Sleep(time.Duration(jittered(p.rng, cfg.Period, cfg.Jitter)))
 	}
 	p.burst = true
 	work := float64(jittered(p.rng, cfg.Duration, cfg.Jitter)) * cfg.Steal
@@ -205,7 +205,7 @@ func (p *kthreadProgram) Next(t *task.Task, now int64) task.Action {
 		p.in.m.Emit(trace.Event{Kind: trace.KindNoiseBegin, Core: t.CoreID, Label: "kthread",
 			SK: cfg.Steal, Dur: int64(work)})
 	}
-	return task.Compute{Work: work}
+	return task.Compute(work)
 }
 
 // noiseState is one core's kernel-noise burst machine: it alternates

@@ -59,7 +59,7 @@ func newMachine(seed uint64, cores int, tr trace.Tracer) *sim.Machine {
 func computeTasks(m *sim.Machine, n int, work float64) []*task.Task {
 	var tasks []*task.Task
 	for i := 0; i < n; i++ {
-		tk := m.NewTask("w", &task.Seq{Actions: []task.Action{task.Compute{Work: work}}})
+		tk := m.NewTask("w", &task.Seq{Actions: []task.Action{task.Compute(work)}})
 		m.Start(tk)
 		tasks = append(tasks, tk)
 	}

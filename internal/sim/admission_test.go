@@ -31,9 +31,9 @@ func admitPinned(m *sim.Machine, name string, p task.Program, core int) *task.Ta
 // exercise wake timers on the admitted task without running forever.
 func shortJob(work time.Duration) task.Program {
 	return &task.Seq{Actions: []task.Action{
-		task.Compute{Work: float64(work)},
-		task.Sleep{D: 2 * time.Millisecond},
-		task.Compute{Work: float64(work)},
+		task.Compute(float64(work)),
+		task.Sleep(2 * time.Millisecond),
+		task.Compute(float64(work)),
 	}}
 }
 

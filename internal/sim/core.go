@@ -111,6 +111,11 @@ func (c *Core) Scheduler() Scheduler { return c.sched }
 // idle.
 func (c *Core) Current() *task.Task { return c.cur }
 
+// StintStart returns when the current task went on-CPU: the start of
+// the run stint the trace emits once the task leaves. It is meaningful
+// only while Current is non-nil.
+func (c *Core) StintStart() int64 { return c.stintStart }
+
 // Idle reports whether the core has no task to run.
 func (c *Core) Idle() bool { return c.cur == nil }
 

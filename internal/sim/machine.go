@@ -1002,19 +1002,19 @@ func (m *Machine) NoteMigration(t *task.Task, dst int, label string) {
 func (m *Machine) advance(t *task.Task) {
 	for {
 		now := m.clock(t.CoreID)
-		var a task.Action = task.Exit{}
+		var a task.Action // the zero Action exits
 		if t.Prog != nil {
 			a = t.Prog.Next(t, now)
 		}
-		switch a := a.(type) {
-		case task.Compute:
+		switch a.Kind {
+		case task.ActCompute:
 			t.Cur = task.Exec{Kind: task.ExecCompute, WorkLeft: a.Work}
 			return
-		case task.Sleep:
+		case task.ActSleep:
 			t.Cur = task.Exec{Kind: task.ExecSleep, WakeAt: now + int64(a.D)}
 			m.sleepUntil(t, t.Cur.WakeAt)
 			return
-		case task.WaitFor:
+		case task.ActWait:
 			if a.C.Arrive(t, m) {
 				continue // condition already satisfied; next action
 			}
@@ -1044,11 +1044,11 @@ func (m *Machine) advance(t *task.Task) {
 				continue
 			}
 			return
-		case task.Exit:
+		case task.ActExit:
 			m.exit(t)
 			return
 		default:
-			panic(fmt.Sprintf("sim: unknown action %T", a))
+			panic(fmt.Sprintf("sim: unknown action kind %d", a.Kind))
 		}
 	}
 }

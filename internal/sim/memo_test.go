@@ -137,17 +137,14 @@ func nehalemCG(m *sim.Machine) {
 // spins in the second barrier within the same program step.
 func nehalemSplitBarrier(m *sim.Machine) {
 	const threads = 16
-	wait := func(c task.Cond) task.Action {
-		return task.WaitFor{C: c, Policy: task.WaitSpinThenBlock, Blocktime: 50 * time.Microsecond}
-	}
 	first, second := spmd.NewBarrier(threads), spmd.NewBarrier(threads)
+	waitFirst := task.WaitFor(first, task.WaitSpinThenBlock, 50*time.Microsecond)
+	waitSecond := task.WaitFor(second, task.WaitSpinThenBlock, 50*time.Microsecond)
 	for i := 0; i < threads; i++ {
 		work := float64(100*time.Microsecond) * (1 + 0.1*float64(i%5))
 		t := m.NewTask(fmt.Sprintf("split.%d", i), &task.Loop{
 			Iterations: 30,
-			Body: func(int) []task.Action {
-				return []task.Action{task.Compute{Work: work}, wait(first), wait(second)}
-			},
+			Body:       []task.Action{task.Compute(work), waitFirst, waitSecond},
 		})
 		t.MemIntensity = 0.9
 		m.Start(t)

@@ -176,11 +176,11 @@ func TestWindowBlockedByWideAffinity(t *testing.T) {
 func TestSleepTimerFollowsShard(t *testing.T) {
 	m := sim.New(topo.Tigerton(), shardCfg(3, 4, false))
 	tk := m.NewTask("sleeper", &task.Seq{Actions: []task.Action{
-		task.Compute{Work: float64(100 * time.Microsecond)},
-		task.Sleep{D: 5 * time.Millisecond},
-		task.Compute{Work: float64(100 * time.Microsecond)},
-		task.Sleep{D: 5 * time.Millisecond},
-		task.Compute{Work: float64(100 * time.Microsecond)},
+		task.Compute(float64(100 * time.Microsecond)),
+		task.Sleep(5 * time.Millisecond),
+		task.Compute(float64(100 * time.Microsecond)),
+		task.Sleep(5 * time.Millisecond),
+		task.Compute(float64(100 * time.Microsecond)),
 	}})
 	m.StartOn(tk, 0)
 	// Let it reach its first sleep, then move it to the last socket.
@@ -263,9 +263,9 @@ func TestHotplugMidMigrationSharded(t *testing.T) {
 	run := func(shards int) string {
 		m := sim.New(topo.Tigerton(), shardCfg(13, shards, false))
 		tk := m.NewTask("victim", &task.Seq{Actions: []task.Action{
-			task.Compute{Work: float64(100 * time.Microsecond)},
-			task.Sleep{D: 4 * time.Millisecond},
-			task.Compute{Work: float64(300 * time.Microsecond)},
+			task.Compute(float64(100 * time.Microsecond)),
+			task.Sleep(4 * time.Millisecond),
+			task.Compute(float64(300 * time.Microsecond)),
 		}})
 		m.StartOn(tk, 2)
 		filler := m.NewTask("filler", hog(time.Millisecond))

@@ -16,7 +16,7 @@ import (
 // (sched_setaffinity semantics, §5.2).
 func TestMigrateNowRunningTask(t *testing.T) {
 	m := newSMP(t, 2, 1)
-	tk := m.NewTask("t", &task.Seq{Actions: []task.Action{task.Compute{Work: 100e6}}})
+	tk := m.NewTask("t", &task.Seq{Actions: []task.Action{task.Compute(100e6)}})
 	m.StartOn(tk, 0)
 	m.RunFor(10 * time.Millisecond)
 	if tk.State != task.Running || tk.CoreID != 0 {
@@ -164,10 +164,10 @@ func TestBandwidthPartialIntensity(t *testing.T) {
 func TestBandwidthRearmOnDeparture(t *testing.T) {
 	m := sim.New(topo.Tigerton(), sim.Config{Seed: 1, NewScheduler: cfs.Factory()})
 	// Two fully-bound tasks on socket 0: each runs at 0.5 (D=2, C=1).
-	short := m.NewTask("short", &task.Seq{Actions: []task.Action{task.Compute{Work: 250e6}}})
+	short := m.NewTask("short", &task.Seq{Actions: []task.Action{task.Compute(250e6)}})
 	short.MemIntensity = 1.0
 	short.Affinity = cpuset.Of(0)
-	long := m.NewTask("long", &task.Seq{Actions: []task.Action{task.Compute{Work: 750e6}}})
+	long := m.NewTask("long", &task.Seq{Actions: []task.Action{task.Compute(750e6)}})
 	long.MemIntensity = 1.0
 	long.Affinity = cpuset.Of(1)
 	m.StartOn(short, 0)
@@ -187,9 +187,9 @@ func TestBandwidthRearmOnDeparture(t *testing.T) {
 func TestIdleTime(t *testing.T) {
 	m := newSMP(t, 1, 1)
 	tk := m.NewTask("t", &task.Seq{Actions: []task.Action{
-		task.Compute{Work: 10e6},
-		task.Sleep{D: 30 * time.Millisecond},
-		task.Compute{Work: 10e6},
+		task.Compute(10e6),
+		task.Sleep(30 * time.Millisecond),
+		task.Compute(10e6),
 	}})
 	m.Start(tk)
 	m.Run(int64(50 * time.Millisecond))
@@ -251,8 +251,8 @@ func TestYieldGroupAccounting(t *testing.T) {
 	never := &neverRelease{}
 	mk := func(name string) *task.Task {
 		return m.NewTask(name, &task.Seq{Actions: []task.Action{
-			task.Compute{Work: 1e6},
-			task.WaitFor{C: never, Policy: task.WaitYield},
+			task.Compute(1e6),
+			task.WaitFor(never, task.WaitYield, 0),
 		}})
 	}
 	a, b := mk("a"), mk("b")

@@ -20,7 +20,7 @@ func newSMP(t *testing.T, n int, seed uint64) *sim.Machine {
 // A single compute task on one core finishes in exactly its work time.
 func TestSingleTaskComputesExactly(t *testing.T) {
 	m := newSMP(t, 1, 1)
-	tk := m.NewTask("t", &task.Seq{Actions: []task.Action{task.Compute{Work: 5e6}}})
+	tk := m.NewTask("t", &task.Seq{Actions: []task.Action{task.Compute(5e6)}})
 	m.Start(tk)
 	m.Run(int64(time.Second))
 	if tk.State != task.Done {
@@ -38,8 +38,8 @@ func TestSingleTaskComputesExactly(t *testing.T) {
 // and their exec times are equal.
 func TestTwoTasksShareFairly(t *testing.T) {
 	m := newSMP(t, 1, 1)
-	a := m.NewTask("a", &task.Seq{Actions: []task.Action{task.Compute{Work: 50e6}}})
-	b := m.NewTask("b", &task.Seq{Actions: []task.Action{task.Compute{Work: 50e6}}})
+	a := m.NewTask("a", &task.Seq{Actions: []task.Action{task.Compute(50e6)}})
+	b := m.NewTask("b", &task.Seq{Actions: []task.Action{task.Compute(50e6)}})
 	m.Start(a)
 	m.Start(b)
 	m.Run(int64(time.Second))
@@ -80,8 +80,8 @@ func TestNiceWeightsShareProportionally(t *testing.T) {
 // Tasks on separate cores run concurrently without interference.
 func TestTwoCoresRunConcurrently(t *testing.T) {
 	m := newSMP(t, 2, 1)
-	a := m.NewTask("a", &task.Seq{Actions: []task.Action{task.Compute{Work: 5e6}}})
-	b := m.NewTask("b", &task.Seq{Actions: []task.Action{task.Compute{Work: 5e6}}})
+	a := m.NewTask("a", &task.Seq{Actions: []task.Action{task.Compute(5e6)}})
+	b := m.NewTask("b", &task.Seq{Actions: []task.Action{task.Compute(5e6)}})
 	m.Start(a)
 	m.Start(b)
 	m.Run(int64(time.Second))
@@ -97,9 +97,9 @@ func TestTwoCoresRunConcurrently(t *testing.T) {
 func TestSleepDuration(t *testing.T) {
 	m := newSMP(t, 1, 1)
 	tk := m.NewTask("t", &task.Seq{Actions: []task.Action{
-		task.Compute{Work: 1e6},
-		task.Sleep{D: 3 * time.Millisecond},
-		task.Compute{Work: 1e6},
+		task.Compute(1e6),
+		task.Sleep(3 * time.Millisecond),
+		task.Compute(1e6),
 	}})
 	m.Start(tk)
 	m.Run(int64(time.Second))
@@ -114,7 +114,7 @@ func TestSleepDuration(t *testing.T) {
 // An asymmetric core retires work proportionally faster.
 func TestAsymmetricCoreSpeed(t *testing.T) {
 	m := sim.New(topo.Asymmetric([]float64{2.0}), sim.Config{Seed: 1, NewScheduler: cfs.Factory()})
-	tk := m.NewTask("t", &task.Seq{Actions: []task.Action{task.Compute{Work: 10e6}}})
+	tk := m.NewTask("t", &task.Seq{Actions: []task.Action{task.Compute(10e6)}})
 	m.Start(tk)
 	m.Run(int64(time.Second))
 	if got, want := tk.FinishedAt, int64(5e6); got != want {
@@ -245,8 +245,8 @@ func TestWorkConservation(t *testing.T) {
 func TestSMTContention(t *testing.T) {
 	m := sim.New(topo.Nehalem(), sim.Config{Seed: 1, NewScheduler: cfs.Factory()})
 	// Logical CPUs 0 and 8 are siblings on Nehalem.
-	a := m.NewTask("a", &task.Seq{Actions: []task.Action{task.Compute{Work: 10e6}}})
-	b := m.NewTask("b", &task.Seq{Actions: []task.Action{task.Compute{Work: 10e6}}})
+	a := m.NewTask("a", &task.Seq{Actions: []task.Action{task.Compute(10e6)}})
+	b := m.NewTask("b", &task.Seq{Actions: []task.Action{task.Compute(10e6)}})
 	a.Affinity = cpuset.Of(0)
 	b.Affinity = cpuset.Of(8)
 	m.StartOn(a, 0)
@@ -265,7 +265,7 @@ func TestSMTContention(t *testing.T) {
 // proportion to its memory intensity.
 func TestNUMARemotePenalty(t *testing.T) {
 	m := sim.New(topo.Barcelona(), sim.Config{Seed: 1, NewScheduler: cfs.Factory()})
-	tk := m.NewTask("t", &task.Seq{Actions: []task.Action{task.Compute{Work: 10e6}}})
+	tk := m.NewTask("t", &task.Seq{Actions: []task.Action{task.Compute(10e6)}})
 	tk.MemIntensity = 1.0
 	tk.HomeNode = 0
 	tk.Affinity = cpuset.Of(4) // node 1
@@ -281,7 +281,7 @@ func TestNUMARemotePenalty(t *testing.T) {
 func TestMigrationWarmupCost(t *testing.T) {
 	m := newSMP(t, 2, 1)
 	a := m.NewTask("a", &task.ComputeForever{Chunk: 1e9})
-	b := m.NewTask("b", &task.Seq{Actions: []task.Action{task.Compute{Work: 10e6}}})
+	b := m.NewTask("b", &task.Seq{Actions: []task.Action{task.Compute(10e6)}})
 	b.RSS = 8 << 20 // bigger than the 4MB LLC: full refill cost
 	m.StartOn(a, 0)
 	m.StartOn(b, 0) // b queued behind a

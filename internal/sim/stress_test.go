@@ -229,9 +229,9 @@ func TestRoundRobinPlacer(t *testing.T) {
 func TestMigrateSleepingTask(t *testing.T) {
 	m := newSMP(t, 2, 1)
 	tk := m.NewTask("t", &task.Seq{Actions: []task.Action{
-		task.Compute{Work: 1e6},
-		task.Sleep{D: 20 * time.Millisecond},
-		task.Compute{Work: 1e6},
+		task.Compute(1e6),
+		task.Sleep(20 * time.Millisecond),
+		task.Compute(1e6),
 	}})
 	m.StartOn(tk, 0)
 	m.RunFor(5 * time.Millisecond) // now sleeping

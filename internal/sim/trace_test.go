@@ -26,9 +26,9 @@ func tracedRun(t *testing.T, tr trace.Tracer, reg *metrics.Registry) *sim.Machin
 	// rotations and run stints; a sleep exercises the wakeup path.
 	for i := 0; i < 3; i++ {
 		tk := m.NewTask("w", &task.Seq{Actions: []task.Action{
-			task.Compute{Work: float64(30 * time.Millisecond)},
-			task.Sleep{D: time.Millisecond},
-			task.Compute{Work: float64(30 * time.Millisecond)},
+			task.Compute(float64(30 * time.Millisecond)),
+			task.Sleep(time.Millisecond),
+			task.Compute(float64(30 * time.Millisecond)),
 		}})
 		m.Start(tk)
 	}
@@ -119,9 +119,9 @@ func benchRun(tr trace.Tracer) {
 	})
 	for i := 0; i < 3; i++ {
 		tk := m.NewTask("w", &task.Seq{Actions: []task.Action{
-			task.Compute{Work: float64(30 * time.Millisecond)},
-			task.Sleep{D: time.Millisecond},
-			task.Compute{Work: float64(30 * time.Millisecond)},
+			task.Compute(float64(30 * time.Millisecond)),
+			task.Sleep(time.Millisecond),
+			task.Compute(float64(30 * time.Millisecond)),
 		}})
 		m.Start(tk)
 	}
@@ -152,7 +152,7 @@ func BenchmarkTracedVsUntraced(b *testing.B) {
 func TestMigrationMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
 	m := sim.New(topo.SMP(2), sim.Config{Seed: 1, NewScheduler: cfs.Factory(), Metrics: reg})
-	tk := m.NewTask("mover", &task.Seq{Actions: []task.Action{task.Compute{Work: float64(time.Millisecond)}}})
+	tk := m.NewTask("mover", &task.Seq{Actions: []task.Action{task.Compute(float64(time.Millisecond))}})
 	m.StartOn(tk, 0)
 	m.Run(0)
 	m.MigrateNow(tk, 1, "testlabel")

@@ -138,7 +138,7 @@ func TestDynamicRescanAdoptsNewThreads(t *testing.T) {
 
 	mk := func(i int) *task.Task {
 		tk := m.NewTask(fmt.Sprintf("dyn.%d", i), &task.Seq{Actions: []task.Action{
-			task.Compute{Work: 3e9},
+			task.Compute(3e9),
 		}})
 		tk.Group = "dyn"
 		return tk

@@ -64,11 +64,11 @@ func TestMembershipConsistencyUnderChurn(t *testing.T) {
 		// queue-length imbalances recur across the whole run and both
 		// balancers keep moving threads.
 		for k := 0; k < 4+2*i; k++ {
-			acts = append(acts, task.Compute{Work: 1.5e8})
+			acts = append(acts, task.Compute(1.5e8))
 			if i%2 == 0 {
 				// Half the threads sleep between bursts, creating idle
 				// cores and new-idle pulls.
-				acts = append(acts, task.Sleep{D: 20 * time.Millisecond})
+				acts = append(acts, task.Sleep(20*time.Millisecond))
 			}
 		}
 		tk := m.NewTask(fmt.Sprintf("churn.%d", i), &task.Seq{Actions: acts})
@@ -110,7 +110,7 @@ func TestAccountingPurgeAndDrain(t *testing.T) {
 	// so the rescan has to discover them.
 	spawn := func(i int) {
 		tk := m.NewTask(fmt.Sprintf("dyn.%d", i), &task.Seq{Actions: []task.Action{
-			task.Compute{Work: 6e8},
+			task.Compute(6e8),
 		}})
 		tk.Group = "dyn"
 		m.StartOn(tk, i%2)
@@ -149,7 +149,7 @@ func TestAccountingPurgeAndDrain(t *testing.T) {
 // publish a stale speed. sampled[j] may only advance when wall > 0.
 func TestZeroWallSampleKeepsWindowOpen(t *testing.T) {
 	m := sim.New(topo.SMP(2), sim.Config{Seed: 41, NewScheduler: cfs.Factory()})
-	tk := m.NewTask("app.0", &task.Seq{Actions: []task.Action{task.Compute{Work: 1e9}}})
+	tk := m.NewTask("app.0", &task.Seq{Actions: []task.Action{task.Compute(1e9)}})
 	b := New(DefaultConfig())
 	b.Manage(m, []*task.Task{tk}, cpuset.All(2))
 	m.AddActor(b)
@@ -180,7 +180,7 @@ func TestWakeAllocationsBounded(t *testing.T) {
 	var tasks []*task.Task
 	for i := 0; i < 6; i++ {
 		tk := m.NewTask(fmt.Sprintf("app.%d", i), &task.Seq{Actions: []task.Action{
-			task.Compute{Work: 1e12},
+			task.Compute(1e12),
 		}})
 		tasks = append(tasks, tk)
 		m.StartOn(tk, i%2)

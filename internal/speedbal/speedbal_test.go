@@ -336,7 +336,7 @@ func TestAdmissionIntoDrainedMachineRearms(t *testing.T) {
 	sb := speedbal.New(speedbal.Config{RescanGroup: "dyn"})
 	m.AddActor(sb)
 
-	first := m.NewTask("dyn.0", &task.Seq{Actions: []task.Action{task.Compute{Work: 300e6}}})
+	first := m.NewTask("dyn.0", &task.Seq{Actions: []task.Action{task.Compute(300e6)}})
 	first.Group = "dyn"
 	m.Start(first)
 
@@ -346,7 +346,7 @@ func TestAdmissionIntoDrainedMachineRearms(t *testing.T) {
 	var second []*task.Task
 	m.After(3*time.Second, func(int64) {
 		for i := 0; i < 3; i++ {
-			tk := m.NewTask("dyn.late", &task.Seq{Actions: []task.Action{task.Compute{Work: 500e6}}})
+			tk := m.NewTask("dyn.late", &task.Seq{Actions: []task.Action{task.Compute(500e6)}})
 			tk.Group = "dyn"
 			second = append(second, tk)
 			m.StartOn(tk, i%2)

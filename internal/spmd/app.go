@@ -196,19 +196,15 @@ func (p *workerProgram) Next(t *task.Task, now int64) task.Action {
 	if p.inBarrier {
 		p.inBarrier = false
 		p.iter++
-		return task.WaitFor{
-			C:         p.app.Barrier,
-			Policy:    s.Model.Policy,
-			Blocktime: s.Model.Blocktime,
-		}
+		return task.WaitFor(p.app.Barrier, s.Model.Policy, s.Model.Blocktime)
 	}
 	if p.iter >= s.Iterations {
-		return task.Exit{}
+		return task.Exit()
 	}
 	w := s.WorkPerIteration
 	if s.WorkJitter > 0 {
 		w *= 1 + s.WorkJitter*(2*p.rng.Float64()-1)
 	}
 	p.inBarrier = true
-	return task.Compute{Work: w}
+	return task.Compute(w)
 }

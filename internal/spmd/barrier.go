@@ -44,9 +44,6 @@ func NewBarrier(n int) *Barrier {
 	return &Barrier{n: n}
 }
 
-// N returns the party count.
-func (b *Barrier) N() int { return b.n }
-
 // Arrive implements task.Cond. The last arriver releases all waiters and
 // proceeds immediately; earlier arrivers wait under their task's policy.
 //

@@ -96,9 +96,9 @@ func TestCounter(t *testing.T) {
 	done := 0
 	mk := func(name string) *task.Task {
 		prog := &task.Seq{Actions: []task.Action{
-			task.Compute{Work: 1e6},
-			task.WaitFor{C: c, Policy: task.WaitBlock},
-			task.Compute{Work: 1e6},
+			task.Compute(1e6),
+			task.WaitFor(c, task.WaitBlock, 0),
+			task.Compute(1e6),
 		}}
 		tk := m.NewTask(name, prog)
 		return tk
@@ -217,5 +217,34 @@ func TestOnDoneFiresOnce(t *testing.T) {
 	m.Run(int64(time.Minute))
 	if fired != 1 {
 		t.Errorf("OnDone fired %d times", fired)
+	}
+}
+
+// Stepping an SPMD worker through its whole job — compute, barrier,
+// compute, ..., exit — allocates nothing: the program returns plain
+// Action values.
+func TestWorkerSteppingAllocatesNothing(t *testing.T) {
+	const runs, iters = 50, 8
+	m := newSMP(4, 1)
+	app := spmd.Build(m, spmd.Spec{
+		Name: "app", Threads: runs + 1, Iterations: iters,
+		WorkPerIteration: 1e6, WorkJitter: 0.1, Model: spmd.UPC(),
+	})
+	next := 0
+	n := testing.AllocsPerRun(runs, func() {
+		tk := app.Tasks[next]
+		next++
+		var steps int
+		for ; tk.Prog.Next(tk, 0).Kind != task.ActExit; steps++ {
+			if steps > 2*iters {
+				t.Fatal("worker does not exit")
+			}
+		}
+		if steps != 2*iters {
+			t.Fatalf("worker took %d steps, want %d", steps, 2*iters)
+		}
+	})
+	if n != 0 {
+		t.Errorf("%v allocs per worker job, want 0", n)
 	}
 }

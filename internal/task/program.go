@@ -12,33 +12,47 @@ type Program interface {
 	Next(t *Task, now int64) Action
 }
 
-// Action is one step of a task's program.
-type Action interface{ isAction() }
+// ActionKind says what an Action does. The zero kind is ActExit, so the
+// zero Action ends the task.
+type ActionKind uint8
 
-// Compute retires Work units of work (one unit = 1 ns on a speed-1.0
-// core).
-type Compute struct{ Work float64 }
+// The action kinds, one per constructor below.
+const (
+	ActExit ActionKind = iota
+	ActCompute
+	ActSleep
+	ActWait
+)
 
-// Sleep takes the task off the run queue for the given duration
-// (nanosleep/usleep semantics).
-type Sleep struct{ D time.Duration }
-
-// WaitFor waits until the condition C is satisfied, using the given wait
-// policy. For WaitSpinThenBlock, Blocktime is the spin budget before
-// blocking (the OpenMP KMP_BLOCKTIME).
-type WaitFor struct {
+// Action is one step of a task's program: a plain value, so programs
+// hand it back without allocating. Kind selects which of the other
+// fields apply; build actions with Compute, Sleep, WaitFor and Exit.
+type Action struct {
+	Kind      ActionKind
+	Work      float64
+	D         time.Duration
 	C         Cond
 	Policy    WaitPolicy
 	Blocktime time.Duration
 }
 
-// Exit ends the task.
-type Exit struct{}
+// Compute retires work units of work (one unit = 1 ns on a speed-1.0
+// core).
+func Compute(work float64) Action { return Action{Kind: ActCompute, Work: work} }
 
-func (Compute) isAction() {}
-func (Sleep) isAction()   {}
-func (WaitFor) isAction() {}
-func (Exit) isAction()    {}
+// Sleep takes the task off the run queue for d (nanosleep/usleep
+// semantics).
+func Sleep(d time.Duration) Action { return Action{Kind: ActSleep, D: d} }
+
+// WaitFor waits until the condition c is satisfied, using wait policy p.
+// For WaitSpinThenBlock, blocktime is the spin budget before blocking
+// (the OpenMP KMP_BLOCKTIME).
+func WaitFor(c Cond, p WaitPolicy, blocktime time.Duration) Action {
+	return Action{Kind: ActWait, C: c, Policy: p, Blocktime: blocktime}
+}
+
+// Exit ends the task.
+func Exit() Action { return Action{} }
 
 // WaitPolicy is how a task waits for a condition. The choice is the
 // load-balancer-visible difference between synchronization
@@ -104,6 +118,8 @@ type Waker interface {
 }
 
 // Seq is a Program that runs a fixed slice of actions once, then exits.
+// Tasks running the same steps may share one Actions slice; each Seq
+// keeps its own cursor.
 type Seq struct {
 	Actions []Action
 	next    int
@@ -112,34 +128,34 @@ type Seq struct {
 // Next implements Program.
 func (s *Seq) Next(t *Task, now int64) Action {
 	if s.next >= len(s.Actions) {
-		return Exit{}
+		return Exit()
 	}
 	a := s.Actions[s.next]
 	s.next++
 	return a
 }
 
-// Loop is a Program that repeats a body of actions for a fixed number of
-// iterations (forever if Iterations <= 0), then exits.
+// Loop is a Program that repeats a fixed body of actions for a given
+// number of iterations (forever if Iterations <= 0), then exits. An
+// empty body exits at once. Like Seq, loops may share one Body slice.
 type Loop struct {
-	Body       func(iter int) []Action
+	Body       []Action
 	Iterations int
 
-	iter    int
-	pending []Action
+	iter, next int
 }
 
 // Next implements Program.
 func (l *Loop) Next(t *Task, now int64) Action {
-	for len(l.pending) == 0 {
-		if l.Iterations > 0 && l.iter >= l.Iterations {
-			return Exit{}
-		}
-		l.pending = l.Body(l.iter)
+	if l.next == len(l.Body) {
 		l.iter++
+		l.next = 0
 	}
-	a := l.pending[0]
-	l.pending = l.pending[1:]
+	if len(l.Body) == 0 || (l.Iterations > 0 && l.iter >= l.Iterations) {
+		return Exit()
+	}
+	a := l.Body[l.next]
+	l.next++
 	return a
 }
 
@@ -157,5 +173,5 @@ func (c *ComputeForever) Next(t *Task, now int64) Action {
 	if chunk <= 0 {
 		chunk = 1e9 // 1 simulated second
 	}
-	return Compute{Work: chunk}
+	return Compute(chunk)
 }

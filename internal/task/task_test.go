@@ -82,37 +82,27 @@ func TestWaitPolicyString(t *testing.T) {
 }
 
 func TestSeqProgram(t *testing.T) {
-	p := &Seq{Actions: []Action{Compute{Work: 1}, Sleep{D: 2}}}
-	if _, ok := p.Next(nil, 0).(Compute); !ok {
-		t.Fatal("first action not Compute")
+	p := &Seq{Actions: []Action{Compute(1), Sleep(2)}}
+	if a := p.Next(nil, 0); a.Kind != ActCompute || a.Work != 1 {
+		t.Fatalf("first action %+v, want Compute(1)", a)
 	}
-	if _, ok := p.Next(nil, 0).(Sleep); !ok {
-		t.Fatal("second action not Sleep")
+	if a := p.Next(nil, 0); a.Kind != ActSleep || a.D != 2 {
+		t.Fatalf("second action %+v, want Sleep(2)", a)
 	}
-	if _, ok := p.Next(nil, 0).(Exit); !ok {
+	if a := p.Next(nil, 0); a.Kind != ActExit {
 		t.Fatal("exhausted Seq did not Exit")
 	}
-	if _, ok := p.Next(nil, 0).(Exit); !ok {
+	if a := p.Next(nil, 0); a.Kind != ActExit {
 		t.Fatal("Exit not sticky")
 	}
 }
 
 func TestLoopProgram(t *testing.T) {
-	calls := 0
-	p := &Loop{
-		Iterations: 3,
-		Body: func(iter int) []Action {
-			calls++
-			if iter != calls-1 {
-				t.Errorf("body iter = %d, want %d", iter, calls-1)
-			}
-			return []Action{Compute{Work: 1}, Compute{Work: 2}}
-		},
-	}
+	p := &Loop{Iterations: 3, Body: []Action{Compute(1), Compute(2)}}
 	var seq []Action
 	for {
 		a := p.Next(nil, 0)
-		if _, done := a.(Exit); done {
+		if a.Kind == ActExit {
 			break
 		}
 		seq = append(seq, a)
@@ -120,42 +110,85 @@ func TestLoopProgram(t *testing.T) {
 			t.Fatal("Loop does not terminate")
 		}
 	}
-	if len(seq) != 6 || calls != 3 {
-		t.Errorf("got %d actions from %d body calls, want 6 from 3", len(seq), calls)
+	if len(seq) != 6 {
+		t.Fatalf("got %d actions, want 6", len(seq))
+	}
+	for i, a := range seq {
+		if want := float64(i%2 + 1); a.Work != want {
+			t.Errorf("action %d work %v, want %v", i, a.Work, want)
+		}
+	}
+	if a := p.Next(nil, 0); a.Kind != ActExit {
+		t.Error("Exit not sticky")
 	}
 }
 
-// A Loop body may return an empty slice; the loop must skip it rather
-// than return nothing.
+// A Loop with an empty body exits rather than spinning, bounded or not.
 func TestLoopEmptyBody(t *testing.T) {
-	p := &Loop{
-		Iterations: 2,
-		Body: func(iter int) []Action {
-			if iter == 0 {
-				return nil
-			}
-			return []Action{Compute{Work: 5}}
-		},
+	for _, iters := range []int{0, 2} {
+		p := &Loop{Iterations: iters}
+		if a := p.Next(nil, 0); a.Kind != ActExit {
+			t.Errorf("Iterations %d: empty body returned %+v, want Exit", iters, a)
+		}
 	}
-	if _, ok := p.Next(nil, 0).(Compute); !ok {
-		t.Error("empty body iteration not skipped")
+}
+
+// The zero Action is Exit, so a program that returns nothing ends its
+// task instead of handing the machine an action it cannot run.
+func TestZeroActionExits(t *testing.T) {
+	if (Action{}) != Exit() {
+		t.Error("zero Action is not Exit")
 	}
-	if _, ok := p.Next(nil, 0).(Exit); !ok {
-		t.Error("loop did not exit after iterations")
+	a := WaitFor(nil, WaitSpinThenBlock, 5)
+	if a.Kind != ActWait || a.Policy != WaitSpinThenBlock || a.Blocktime != 5 {
+		t.Errorf("WaitFor built %+v", a)
 	}
 }
 
 func TestComputeForever(t *testing.T) {
 	p := &ComputeForever{Chunk: 7}
 	for i := 0; i < 10; i++ {
-		a, ok := p.Next(nil, 0).(Compute)
-		if !ok || a.Work != 7 {
-			t.Fatalf("action %d = %#v", i, a)
+		if a := p.Next(nil, 0); a.Kind != ActCompute || a.Work != 7 {
+			t.Fatalf("action %d = %+v", i, a)
 		}
 	}
 	d := &ComputeForever{}
-	if a := d.Next(nil, 0).(Compute); a.Work <= 0 {
+	if a := d.Next(nil, 0); a.Work <= 0 {
 		t.Error("default chunk not positive")
+	}
+}
+
+// stepAllocs reports the allocations of stepping one fresh program per
+// run from its first action through Exit. The programs are built before
+// measuring, so only stepping is counted.
+func stepAllocs(t *testing.T, newProg func() Program) float64 {
+	t.Helper()
+	const runs = 50
+	progs := make([]Program, runs+1)
+	for i := range progs {
+		progs[i] = newProg()
+	}
+	next := 0
+	return testing.AllocsPerRun(runs, func() {
+		p := progs[next]
+		next++
+		for steps := 0; p.Next(nil, 0).Kind != ActExit; steps++ {
+			if steps > 1000 {
+				t.Fatal("program does not exit")
+			}
+		}
+	})
+}
+
+// Stepping a Seq or a Loop hands back stored values: no allocation per
+// action, per iteration or per job, even when tasks share the list.
+func TestSteppingAllocatesNothing(t *testing.T) {
+	steps := []Action{Sleep(1), Compute(2), WaitFor(nil, WaitBlock, 0), Compute(3)}
+	if n := stepAllocs(t, func() Program { return &Seq{Actions: steps} }); n != 0 {
+		t.Errorf("Seq: %v allocs per job, want 0", n)
+	}
+	if n := stepAllocs(t, func() Program { return &Loop{Body: steps, Iterations: 8} }); n != 0 {
+		t.Errorf("Loop: %v allocs per job, want 0", n)
 	}
 }
 

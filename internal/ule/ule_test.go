@@ -58,7 +58,7 @@ func TestStealThreshOneMigrates(t *testing.T) {
 // Idle pull: an idle core steals from a queue with ≥ StealThreshold.
 func TestIdlePull(t *testing.T) {
 	m, b := newULE(2, 3, ule.Config{})
-	short := m.NewTask("short", &task.Seq{Actions: []task.Action{task.Compute{Work: 10e6}}})
+	short := m.NewTask("short", &task.Seq{Actions: []task.Action{task.Compute(10e6)}})
 	m.StartOn(short, 1)
 	for i := 0; i < 2; i++ {
 		tk := m.NewTask("hog", &task.ComputeForever{Chunk: 1e9})
