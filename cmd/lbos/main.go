@@ -42,13 +42,10 @@
 //	             pulls and wake-time placement from streaming per-core
 //	             speed distributions) in every SPEED run; inert for
 //	             experiments that configure prediction themselves
-//	-shards N    partition every run's simulator into N per-socket event
-//	             shards (clamped to the machine's socket count; 0/1 =
-//	             single queue); tables are bit-identical at every N
-//	-shardpar    additionally run shard-confined simulation spans on
-//	             parallel goroutines (conservative lookahead windows);
-//	             output bytes are unchanged
 //	-q           suppress progress logging
+//
+// run rejects -reps or -scale below 1 and -parallel below 0 with exit
+// status 2 before any experiment starts.
 package main
 
 import (
@@ -70,24 +67,24 @@ import (
 
 func main() {
 	if len(os.Args) < 2 {
-		usage()
+		usage(os.Stderr)
 		os.Exit(2)
 	}
 	switch os.Args[1] {
 	case "list":
 		list()
 	case "run":
-		run(os.Args[2:])
+		os.Exit(run(os.Args[2:], os.Stdout, os.Stderr))
 	case "bench":
 		bench(os.Args[2:])
 	default:
-		usage()
+		usage(os.Stderr)
 		os.Exit(2)
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: lbos list | lbos run [-reps N] [-scale K] [-seed S] [-parallel P] [-failfast] [-csv DIR] [-trace FILE] [-metrics] [-perturb LIST] [-predict] [-shards N] [-shardpar] [-q] <id>...|all | lbos bench [-out FILE] [-baseline FILE] [-tol F] [-q]")
+func usage(w io.Writer) {
+	fmt.Fprintln(w, "usage: lbos list | lbos run [-reps N] [-scale K] [-seed S] [-parallel P] [-failfast] [-csv DIR] [-trace FILE] [-metrics] [-perturb LIST] [-predict] [-q] <id>...|all | lbos bench [-out FILE] [-baseline FILE] [-tol F] [-q]")
 }
 
 // bench runs the perfbench suite, writes BENCH_<n>.json and gates the
@@ -100,7 +97,7 @@ func bench(args []string) {
 	quiet := fs.Bool("q", false, "suppress per-case progress")
 	fs.Parse(args)
 	if fs.NArg() != 0 {
-		usage()
+		usage(os.Stderr)
 		os.Exit(2)
 	}
 
@@ -189,8 +186,11 @@ func list() {
 	}
 }
 
-func run(args []string) {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
+// run executes `lbos run`: tables go to stdout, progress and errors to
+// stderr. It returns the process exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("run", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	reps := fs.Int("reps", 10, "repetitions per configuration")
 	scale := fs.Int("scale", 1, "divide workload sizes by this factor")
 	seed := fs.Uint64("seed", 20100109, "base RNG seed")
@@ -201,21 +201,29 @@ func run(args []string) {
 	withMetrics := fs.Bool("metrics", false, "collect and print scheduler metrics per experiment")
 	perturbSpec := fs.String("perturb", "", "inject faults: comma-separated from noise,kthread,hotplug,freq,storm,all")
 	predictOn := fs.Bool("predict", false, "arm the speed balancer's predictive mode in every SPEED run")
-	shards := fs.Int("shards", 0, "per-socket event shards per run (0/1 = single queue)")
-	shardPar := fs.Bool("shardpar", false, "run shard-confined spans on parallel goroutines")
 	quiet := fs.Bool("q", false, "suppress progress logging")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	// The dial names are the flag names, so the message names the flag.
+	if err := exp.CheckDials(*reps, *scale, *parallel); err != nil {
+		fmt.Fprintf(stderr, "lbos: -%v\n", err)
+		return 2
+	}
 
 	pcfg, err := perturb.Parse(*perturbSpec)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	ids := fs.Args()
 	if len(ids) == 0 {
-		usage()
-		os.Exit(2)
+		usage(stderr)
+		return 2
 	}
 	var exps []*exp.Experiment
 	if len(ids) == 1 && ids[0] == "all" {
@@ -224,8 +232,8 @@ func run(args []string) {
 		for _, id := range ids {
 			e, err := exp.ByID(id)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, err)
+				return 1
 			}
 			exps = append(exps, e)
 		}
@@ -235,39 +243,38 @@ func run(args []string) {
 		Reps: *reps, Scale: *scale, Seed: *seed,
 		Parallelism: *parallel, FailFast: *failfast,
 		Perturb: pcfg, Predict: *predictOn,
-		Shards: *shards, ShardParallel: *shardPar,
 	}
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		ctx.Trace = exp.NewTraceSink(f, 0)
 		defer func() {
 			if err := ctx.Trace.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 			}
 			f.Close()
 			if !*quiet {
-				fmt.Fprintf(os.Stderr, "lbos: trace of %d runs written to %s (load in ui.perfetto.dev)\n",
+				fmt.Fprintf(stderr, "lbos: trace of %d runs written to %s (load in ui.perfetto.dev)\n",
 					ctx.Trace.Cells, *traceFile)
 			}
 		}()
 	}
 	if !*quiet {
-		ctx.Log = os.Stderr
+		ctx.Log = stderr
 		workers := *parallel
 		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
-		fmt.Fprintf(os.Stderr, "lbos: %d reps, scale 1/%d, %d parallel workers\n",
+		fmt.Fprintf(stderr, "lbos: %d reps, scale 1/%d, %d parallel workers\n",
 			*reps, *scale, workers)
 	}
 	for _, e := range exps {
 		sw := clock.Start()
-		fmt.Printf("### %s — %s (%s)\n", e.ID, e.Title, e.PaperRef)
-		fmt.Printf("paper: %s\n\n", e.Expect)
+		fmt.Fprintf(stdout, "### %s — %s (%s)\n", e.ID, e.Title, e.PaperRef)
+		fmt.Fprintf(stdout, "paper: %s\n\n", e.Expect)
 		if *withMetrics {
 			// Fresh aggregate per experiment so metrics tables are scoped
 			// to one experiment's cells.
@@ -278,14 +285,15 @@ func run(args []string) {
 			tables = append(tables, exp.MetricsTables(ctx.Metrics.Snapshot())...)
 		}
 		for ti, t := range tables {
-			t.Render(os.Stdout)
-			fmt.Println()
+			t.Render(stdout)
+			fmt.Fprintln(stdout)
 			if *csvDir != "" {
 				writeCSV(*csvDir, e.ID, ti, t)
 			}
 		}
-		fmt.Printf("(%s completed in %v wall time)\n\n", e.ID, sw.Elapsed().Round(time.Millisecond))
+		fmt.Fprintf(stdout, "(%s completed in %v wall time)\n\n", e.ID, sw.Elapsed().Round(time.Millisecond))
 	}
+	return 0
 }
 
 func writeCSV(dir, id string, idx int, t *exp.Table) {

@@ -26,39 +26,27 @@ import (
 	"repro/internal/trace"
 )
 
-// Params are the tunables of the scheduler, mirroring
-// /proc/sys/kernel/sched_* in the 2.6.28 kernel.
-type Params struct {
-	// Latency is the targeted scheduling period: every runnable task
-	// should run once per Latency (sched_latency_ns, default 20 ms).
-	Latency time.Duration
-	// MinGranularity is the floor on a task's slice
-	// (sched_min_granularity_ns, default 4 ms).
-	MinGranularity time.Duration
-	// WakeupGranularity is the vruntime lead a waking task needs to
-	// preempt the running one (sched_wakeup_granularity_ns, default
-	// 5 ms in 2.6.28; we keep it small enough for interactive wakeups).
-	WakeupGranularity time.Duration
-	// SleeperCredit bounds how much vruntime credit a waking sleeper
+// The scheduler's tunables, fixed at the 2.6.28 kernel's
+// /proc/sys/kernel/sched_* defaults.
+const (
+	// latency is the targeted scheduling period: every runnable task
+	// should run once per latency (sched_latency_ns).
+	latency = 20 * time.Millisecond
+	// minGranularity is the floor on a task's slice
+	// (sched_min_granularity_ns).
+	minGranularity = 4 * time.Millisecond
+	// wakeupGranularity is the vruntime lead a waking task needs to
+	// preempt the running one (sched_wakeup_granularity_ns).
+	wakeupGranularity = 5 * time.Millisecond
+	// sleeperCredit bounds how much vruntime credit a waking sleeper
 	// receives (GENTLE_FAIR_SLEEPERS halves sched_latency).
-	SleeperCredit time.Duration
-}
-
-// DefaultParams returns the 2.6.28-era defaults.
-func DefaultParams() Params {
-	return Params{
-		Latency:           20 * time.Millisecond,
-		MinGranularity:    4 * time.Millisecond,
-		WakeupGranularity: 5 * time.Millisecond,
-		SleeperCredit:     10 * time.Millisecond,
-	}
-}
+	sleeperCredit = 10 * time.Millisecond
+)
 
 const nice0Weight = 1024
 
 // Queue is one core's CFS run queue. It implements sim.Scheduler.
 type Queue struct {
-	p Params
 	// queue holds runnable tasks not currently executing, ordered by
 	// (vruntime, ID).
 	queue []*task.Task
@@ -73,18 +61,13 @@ type Queue struct {
 	coreID int
 }
 
-// New returns a CFS queue with the given parameters.
-func New(p Params) *Queue { return &Queue{p: p} }
+// New returns an empty CFS queue.
+func New() *Queue { return &Queue{} }
 
-// Factory returns a sim scheduler factory producing CFS queues with
-// default parameters — the standard substrate for experiments.
+// Factory returns a sim scheduler factory producing CFS queues — the
+// standard substrate for experiments.
 func Factory() func(coreID int) sim.Scheduler {
-	return FactoryWith(DefaultParams())
-}
-
-// FactoryWith returns a factory with explicit parameters.
-func FactoryWith(p Params) func(coreID int) sim.Scheduler {
-	return func(int) sim.Scheduler { return New(p) }
+	return func(int) sim.Scheduler { return New() }
 }
 
 // Attach implements sim.Scheduler.
@@ -106,7 +89,7 @@ func (q *Queue) Enqueue(t *task.Task, wakeup bool) bool {
 		// minVruntime − SleeperCredit — a long sleeper re-enters with
 		// a bounded lead over the queue clock (GENTLE_FAIR_SLEEPERS).
 		old := t.Sched.Vruntime + t.Sched.QueueClock
-		if floor := q.minVruntime - int64(q.p.SleeperCredit); old < floor {
+		if floor := q.minVruntime - int64(sleeperCredit); old < floor {
 			old = floor
 			if q.m != nil && q.m.Tracing() {
 				q.m.Emit(trace.Event{Kind: trace.KindSleeperCredit, Core: q.coreID,
@@ -127,7 +110,7 @@ func (q *Queue) Enqueue(t *task.Task, wakeup bool) bool {
 		// migrations too (pull_task), not only wakeups — without it a
 		// freshly migrated thread sits behind a barrier-spinner for
 		// the rest of its slice.
-		return q.cur.Sched.Vruntime-t.Sched.Vruntime > int64(q.p.WakeupGranularity)
+		return q.cur.Sched.Vruntime-t.Sched.Vruntime > int64(wakeupGranularity)
 	}
 	return false
 }
@@ -203,9 +186,9 @@ func (q *Queue) Slice(t *task.Task) time.Duration {
 	if tw <= 0 {
 		tw = t.Sched.Weight
 	}
-	s := time.Duration(int64(q.p.Latency) * t.Sched.Weight / tw)
-	if s < q.p.MinGranularity {
-		s = q.p.MinGranularity
+	s := time.Duration(int64(latency) * t.Sched.Weight / tw)
+	if s < minGranularity {
+		s = minGranularity
 	}
 	return s
 }

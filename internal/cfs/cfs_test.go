@@ -15,7 +15,7 @@ func newTask(id int, nice int) *task.Task {
 }
 
 func TestPickOrderByVruntime(t *testing.T) {
-	q := New(DefaultParams())
+	q := New()
 	a, b, c := newTask(1, 0), newTask(2, 0), newTask(3, 0)
 	a.Sched.Vruntime, b.Sched.Vruntime, c.Sched.Vruntime = 30, 10, 20
 	q.Enqueue(a, false)
@@ -30,7 +30,7 @@ func TestPickOrderByVruntime(t *testing.T) {
 }
 
 func TestDoubleEnqueuePanics(t *testing.T) {
-	q := New(DefaultParams())
+	q := New()
 	a := newTask(1, 0)
 	q.Enqueue(a, false)
 	defer func() {
@@ -42,7 +42,7 @@ func TestDoubleEnqueuePanics(t *testing.T) {
 }
 
 func TestSliceProportionalToWeight(t *testing.T) {
-	q := New(DefaultParams())
+	q := New()
 	hi, lo := newTask(1, -5), newTask(2, 0)
 	q.Enqueue(hi, false)
 	q.Enqueue(lo, false)
@@ -54,14 +54,14 @@ func TestSliceProportionalToWeight(t *testing.T) {
 	for i := 3; i < 20; i++ {
 		q.Enqueue(newTask(i, 0), false)
 	}
-	if s := q.Slice(lo); s < DefaultParams().MinGranularity {
+	if s := q.Slice(lo); s < minGranularity {
 		t.Errorf("slice %v below min granularity", s)
 	}
 }
 
 // Wakeup preemption requires a vruntime lead beyond the granularity.
 func TestWakeupPreemption(t *testing.T) {
-	q := New(DefaultParams())
+	q := New()
 	cur := newTask(1, 0)
 	q.Enqueue(cur, false)
 	if q.PickNext() != cur {
@@ -90,8 +90,7 @@ func TestWakeupPreemption(t *testing.T) {
 // Sleeper credit is clamped: a task asleep for an hour resumes near the
 // queue clock, not an hour behind.
 func TestSleeperCreditClamped(t *testing.T) {
-	p := DefaultParams()
-	q := New(p)
+	q := New()
 	runner := newTask(1, 0)
 	q.Enqueue(runner, false)
 	q.PickNext()
@@ -101,14 +100,14 @@ func TestSleeperCreditClamped(t *testing.T) {
 	sleeper := newTask(2, 0)
 	sleeper.Sched.Vruntime = 0
 	q.Enqueue(sleeper, true)
-	if got, floor := sleeper.Sched.Vruntime, minV-int64(p.SleeperCredit); got < floor {
+	if got, floor := sleeper.Sched.Vruntime, minV-int64(sleeperCredit); got < floor {
 		t.Errorf("sleeper vruntime %d below floor %d", got, floor)
 	}
 }
 
 // Yield places the caller strictly behind every queued task.
 func TestYieldGoesBehind(t *testing.T) {
-	q := New(DefaultParams())
+	q := New()
 	a, b, c := newTask(1, 0), newTask(2, 0), newTask(3, 0)
 	q.Enqueue(a, false)
 	q.Enqueue(b, false)
@@ -123,7 +122,7 @@ func TestYieldGoesBehind(t *testing.T) {
 
 // Weighted fairness: vruntime advances inversely to weight.
 func TestAccountExecWeighted(t *testing.T) {
-	q := New(DefaultParams())
+	q := New()
 	hi, lo := newTask(1, -5), newTask(2, 0)
 	q.Enqueue(hi, false)
 	q.Enqueue(lo, false)
@@ -152,7 +151,7 @@ func TestAccountExecWeighted(t *testing.T) {
 
 // Dequeue of the running task detaches it; weights stay consistent.
 func TestDequeueRunning(t *testing.T) {
-	q := New(DefaultParams())
+	q := New()
 	a, b := newTask(1, 0), newTask(2, 0)
 	q.Enqueue(a, false)
 	q.Enqueue(b, false)
@@ -172,7 +171,7 @@ func TestDequeueRunning(t *testing.T) {
 // Vruntime normalisation: a task dequeued from a busy queue and
 // enqueued on a fresh one does not carry an absolute advantage.
 func TestVruntimeNormalisation(t *testing.T) {
-	q1 := New(DefaultParams())
+	q1 := New()
 	a := newTask(1, 0)
 	filler := newTask(2, 0)
 	q1.Enqueue(filler, false)
@@ -181,7 +180,7 @@ func TestVruntimeNormalisation(t *testing.T) {
 	q1.AccountExec(filler, time.Second) // q1 clock far ahead
 	q1.Dequeue(a)
 
-	q2 := New(DefaultParams())
+	q2 := New()
 	b := newTask(3, 0)
 	q2.Enqueue(b, false)
 	q2.Enqueue(a, false)
@@ -193,7 +192,7 @@ func TestVruntimeNormalisation(t *testing.T) {
 
 // MinVruntime never decreases.
 func TestMinVruntimeMonotonic(t *testing.T) {
-	q := New(DefaultParams())
+	q := New()
 	last := int64(0)
 	a := newTask(1, 0)
 	q.Enqueue(a, false)
@@ -212,7 +211,7 @@ func TestMinVruntimeMonotonic(t *testing.T) {
 // Property: random operation sequences keep queue counters consistent.
 func TestPropertyQueueConsistency(t *testing.T) {
 	f := func(ops []uint8) bool {
-		q := New(DefaultParams())
+		q := New()
 		var queued []*task.Task
 		var cur *task.Task
 		nextID := 0

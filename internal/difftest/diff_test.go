@@ -18,22 +18,17 @@ var drivers = []string{
 }
 
 // matrix is the engine grid every driver must traverse without changing
-// one output byte: shard counts {1, 2, 4} (4 = the socket count of the
-// paper machines, so the "sockets" point coincides), grid parallelism
-// {1, 8}, and lookahead windows on and off.
+// one output byte: grid parallelism {1, 8}. The parallelism-1 leg
+// repeats the reference run in the same process, so state leaking
+// between runs shows as a divergence too.
 var matrix = []Settings{
-	{Shards: 1, Parallelism: 1},
-	{Shards: 2, Parallelism: 1},
-	{Shards: 4, Parallelism: 1},
-	{Shards: 4, Parallelism: 8},
-	{Shards: 2, ShardParallel: true, Parallelism: 1},
-	{Shards: 4, ShardParallel: true, Parallelism: 8},
+	{Parallelism: 1},
+	{Parallelism: 8},
 }
 
 // TestEngineEquivalence is the tentpole guarantee: for every driver the
-// sharded engine reproduces the legacy single-queue engine's tables,
-// trace bytes and metrics byte-identically at every shard count,
-// parallelism level and window setting.
+// grid reproduces the single-worker reference run's tables, trace bytes
+// and metrics byte-identically at every parallelism level.
 func TestEngineEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential matrix skipped in short mode")
@@ -42,23 +37,23 @@ func TestEngineEquivalence(t *testing.T) {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			legacy, err := RunExperiment(id, 2, 32, 20100109, Settings{Parallelism: 1})
+			ref, err := RunExperiment(id, 2, 32, 20100109, Settings{Parallelism: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if legacy.Tables == "" {
-				t.Fatal("legacy engine rendered no tables")
+			if ref.Tables == "" {
+				t.Fatal("reference run rendered no tables")
 			}
-			if !json.Valid(legacy.Trace) {
-				t.Fatalf("legacy trace is not valid JSON:\n%.200s", legacy.Trace)
+			if !json.Valid(ref.Trace) {
+				t.Fatalf("reference trace is not valid JSON:\n%.200s", ref.Trace)
 			}
 			for _, s := range matrix {
 				got, err := RunExperiment(id, 2, 32, 20100109, s)
 				if err != nil {
 					t.Fatalf("%v: %v", s, err)
 				}
-				if d := Diff(legacy, got); d != "" {
-					t.Errorf("%v diverges from the single-queue engine:\n%s", s, d)
+				if d := Diff(ref, got); d != "" {
+					t.Errorf("%v diverges from the reference run:\n%s", s, d)
 				}
 			}
 		})
@@ -66,11 +61,7 @@ func TestEngineEquivalence(t *testing.T) {
 }
 
 // TestEngineEquivalenceBare runs without trace or metrics sinks —
-// exactly what a plain `lbos run` does. Sinks block parallel lookahead
-// windows, so the matrix above never reaches the window-eligibility
-// path inside an experiment; this bare variant does, and pins the
-// regression where a scale-1 socket-contained cell opened a window and
-// the experiment's stop-on-completion hook panicked inside it.
+// exactly what a plain `lbos run` does — at paper scale (scale 1).
 func TestEngineEquivalenceBare(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential matrix skipped in short mode")
@@ -79,51 +70,50 @@ func TestEngineEquivalenceBare(t *testing.T) {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			legacy, err := RunExperiment(id, 2, 1, 20100109, Settings{Parallelism: 1, Bare: true})
+			ref, err := RunExperiment(id, 2, 1, 20100109, Settings{Parallelism: 1, Bare: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, s := range []Settings{
-				{Shards: 4, Parallelism: 1, Bare: true},
-				{Shards: 4, ShardParallel: true, Parallelism: 1, Bare: true},
-				{Shards: 4, ShardParallel: true, Parallelism: 8, Bare: true},
+				{Parallelism: 1, Bare: true},
+				{Parallelism: 8, Bare: true},
 			} {
 				got, err := RunExperiment(id, 2, 1, 20100109, s)
 				if err != nil {
 					t.Fatalf("%v: %v", s, err)
 				}
-				if d := Diff(legacy, got); d != "" {
-					t.Errorf("%v diverges from the single-queue engine:\n%s", s, d)
+				if d := Diff(ref, got); d != "" {
+					t.Errorf("%v diverges from the reference run:\n%s", s, d)
 				}
 			}
 		})
 	}
 }
 
-// TestEngineEquivalenceAcrossSeeds guards the matrix itself: a sharded
-// run must track the legacy engine for other seeds too, and different
-// seeds must produce different output (otherwise the comparison above
-// proves nothing).
+// TestEngineEquivalenceAcrossSeeds guards the matrix itself: the grid
+// must track the reference run for other seeds too, and different seeds
+// must produce different output (otherwise the comparison above proves
+// nothing).
 func TestEngineEquivalenceAcrossSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential matrix skipped in short mode")
 	}
 	const id = "abl-jit" // seed-sensitive: tabulates run-time variation
-	s := Settings{Shards: 4, ShardParallel: true, Parallelism: 8}
+	s := Settings{Parallelism: 8}
 	tables := map[string]bool{}
 	for _, seed := range []uint64{1, 2, 20100109} {
-		legacy, err := RunExperiment(id, 2, 32, seed, Settings{Parallelism: 1})
+		ref, err := RunExperiment(id, 2, 32, seed, Settings{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sharded, err := RunExperiment(id, 2, 32, seed, s)
+		got, err := RunExperiment(id, 2, 32, seed, s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := Diff(legacy, sharded); d != "" {
-			t.Errorf("seed %d: engines diverge:\n%s", seed, d)
+		if d := Diff(ref, got); d != "" {
+			t.Errorf("seed %d: %v diverges from the reference run:\n%s", seed, s, d)
 		}
-		tables[legacy.Tables] = true
+		tables[ref.Tables] = true
 	}
 	if len(tables) < 2 {
 		t.Error("every seed rendered identical tables — the equivalence comparison has no power")

@@ -1,26 +1,28 @@
 // Package difftest is the differential equivalence harness for the
-// sharded simulator: it runs the same workload through the legacy
-// single-queue engine and the sharded engine (internal/eventq.Sharded +
-// sim parallel lookahead windows) and proves every deterministic output
-// channel byte-identical.
+// simulator's engine settings: it runs the same workload through a
+// reference configuration and through the others, and proves every
+// deterministic output channel byte-identical.
 //
-// The sharded refactor is the riskiest change the repo has taken — a
-// merge-order slip or a stale clock read would not crash, it would
-// silently skew result tables. The defence is differential: the legacy
-// engine is the oracle, and three output channels are compared
-// byte-for-byte:
+// An engine slip — a merge-order mistake, a stale clock read, state
+// shared between grid workers — would not crash, it would silently skew
+// result tables. The defence is differential: the reference run is the
+// oracle, and three output channels are compared byte-for-byte:
 //
 //   - rendered result tables (the exact bytes `lbos run` prints),
 //   - the Chrome trace-event JSON stream,
 //   - the aggregated metrics snapshot (rendered through the same table
 //     path `lbos run -metrics` uses).
 //
-// Two test families use the harness: an experiment matrix running every
-// registered driver the evaluation depends on at shard counts
-// {1, 2, 4, sockets} × Parallelism {1, 8} (diff_test.go), and a seeded
-// property-based generator drawing random topologies, workloads and
-// perturbation configs that cross-checks the engines on machine-state
-// fingerprints and the physical invariant suite (prop_test.go).
+// Three test families use the harness. An experiment matrix runs every
+// registered driver the evaluation depends on at grid parallelism
+// {1, 8} against a single-worker reference (diff_test.go). A seeded
+// property-based generator draws random topologies, workloads and
+// perturbation configs whose runs must repeat byte-identically and pass
+// the physical invariant suite, and random socket-contained fabrics
+// must match the single queue at every shard count with parallel
+// lookahead windows on and off (prop_test.go). Shard-count invariance
+// of cross-socket workloads is proven a layer down, by internal/sim's
+// TestShardCountInvariance.
 package difftest
 
 import (
@@ -33,29 +35,22 @@ import (
 	"repro/internal/sim"
 )
 
-// Settings selects one engine configuration for a differential run.
+// Settings selects one run configuration for a differential run.
 type Settings struct {
-	// Shards is exp.Context.Shards: 0/1 is the legacy single queue,
-	// larger values shard per socket (clamped to the socket count).
-	Shards int
-	// ShardParallel opens conservative lookahead windows (parallel shard
-	// goroutines) where the workload's shard scope allows it.
-	ShardParallel bool
 	// Parallelism is the experiment Runner's worker count (0 =
-	// GOMAXPROCS); the grid level, orthogonal to the engine level.
+	// GOMAXPROCS).
 	Parallelism int
 	// Bare runs without trace or metrics sinks, exactly like a plain
-	// `lbos run`. Sinks block parallel lookahead windows, so only the
-	// bare configuration reaches the window-eligibility path inside an
-	// experiment — the configuration where a stop-on-completion hook
-	// once fired inside a window and crashed the run. Bare captures
-	// compare tables only.
+	// `lbos run`: attached sinks change which engine paths a run takes
+	// (they keep parallel lookahead windows shut), so the plain
+	// configuration is checked on its own. Bare captures compare tables
+	// only.
 	Bare bool
 }
 
 // String names the configuration in failure messages.
 func (s Settings) String() string {
-	return fmt.Sprintf("shards=%d shardpar=%v parallel=%d", s.Shards, s.ShardParallel, s.Parallelism)
+	return fmt.Sprintf("parallel=%d bare=%v", s.Parallelism, s.Bare)
 }
 
 // Capture holds every deterministic output channel of one experiment
@@ -81,12 +76,7 @@ func RunExperiment(id string, reps, scale int, seed uint64, s Settings) (Capture
 		return Capture{}, err
 	}
 	var traceBuf bytes.Buffer
-	ctx := &exp.Context{
-		Reps: reps, Scale: scale, Seed: seed,
-		Parallelism:   s.Parallelism,
-		Shards:        s.Shards,
-		ShardParallel: s.ShardParallel,
-	}
+	ctx := &exp.Context{Reps: reps, Scale: scale, Seed: seed, Parallelism: s.Parallelism}
 	if !s.Bare {
 		ctx.Trace = exp.NewTraceSink(&traceBuf, 0)
 		ctx.Metrics = metrics.NewAggregate()

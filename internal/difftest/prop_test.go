@@ -62,8 +62,8 @@ func drawRun(rng *rand.Rand) exp.RunOpts {
 }
 
 // drawPerturb builds a random fault-injection mix: hotplug churn (the
-// family that stresses cross-shard drains) plus a coin flip of each
-// other family.
+// family that stresses run-queue drains) plus a coin flip of each other
+// family.
 func drawPerturb(rng *rand.Rand) perturb.Config {
 	cfg := perturb.Config{
 		Hotplug: perturb.HotplugConfig{
@@ -120,10 +120,11 @@ func checkInvariants(t *testing.T, label string, m *sim.Machine) {
 }
 
 // TestPropertyEngineCrossCheck draws random (topology, workload,
-// strategy, perturbation) measurements and runs each through the legacy
-// engine and the sharded engine at shard counts {2, 4}, requiring
-// byte-identical machine fingerprints and the invariant suite green on
-// every engine.
+// strategy, perturbation) measurements and runs each twice in one
+// process, requiring byte-identical machine fingerprints and the
+// invariant suite green on both runs. Shard-count invariance of such
+// cross-socket workloads is proven in internal/sim
+// (TestShardCountInvariance), below the experiment layer.
 func TestPropertyEngineCrossCheck(t *testing.T) {
 	draws := 25
 	if testing.Short() {
@@ -134,28 +135,24 @@ func TestPropertyEngineCrossCheck(t *testing.T) {
 		o := drawRun(rng)
 		o.Limit = 10 * time.Second
 
-		o.Shards = 0
-		legacy := exp.Run(o)
-		label := fmt.Sprintf("draw %d (%s on %s)", i, o.Strategy, legacy.Machine.Topo.Name)
-		checkInvariants(t, label+" legacy", legacy.Machine)
-		want := Fingerprint(legacy.Machine)
+		ref := exp.Run(o)
+		label := fmt.Sprintf("draw %d (%s on %s)", i, o.Strategy, ref.Machine.Topo.Name)
+		checkInvariants(t, label, ref.Machine)
+		want := Fingerprint(ref.Machine)
 
-		for _, shards := range []int{2, 4} {
-			o.Shards = shards
-			res := exp.Run(o)
-			checkInvariants(t, fmt.Sprintf("%s shards=%d", label, shards), res.Machine)
-			if got := Fingerprint(res.Machine); got != want {
-				t.Errorf("%s: shards=%d diverges from the single queue:\n%s",
-					label, shards, firstDivergence(want, got))
-			}
+		again := exp.Run(o)
+		checkInvariants(t, label+" repeat", again.Machine)
+		if got := Fingerprint(again.Machine); got != want {
+			t.Errorf("%s: a repeat run diverges:\n%s", label, firstDivergence(want, got))
 		}
 	}
 }
 
 // propFabric builds a random multi-socket machine whose entire workload
 // is socket-contained — per-socket pinned apps, per-socket balancer
-// domains, optionally shard-local perturbation — the regime where
-// parallel lookahead windows actually open. Returns the machine after a
+// domains — the regime where parallel lookahead windows actually open,
+// optionally under per-core noise and frequency drift (machine-global
+// timers, so they bound the windows). Returns the machine after a
 // bounded run.
 func propFabric(seed int64, shards int, par bool) (*sim.Machine, bool) {
 	rng := rand.New(rand.NewSource(seed))
@@ -175,8 +172,7 @@ func propFabric(seed int64, shards int, par bool) (*sim.Machine, bool) {
 	model := models[rng.Intn(len(models))]
 	usePerturb := rng.Intn(2) == 0
 	if usePerturb {
-		pcfg := perturb.Config{ShardLocal: true, Noise: perturb.DefaultNoise(),
-			Freq: perturb.DefaultFreq()}
+		pcfg := perturb.Config{Noise: perturb.DefaultNoise(), Freq: perturb.DefaultFreq()}
 		m.AddActor(perturb.New(pcfg))
 	}
 	for s := 0; s < sockets; s++ {
@@ -196,9 +192,6 @@ func propFabric(seed int64, shards int, par bool) (*sim.Machine, bool) {
 		})
 		app.StartPinned()
 	}
-	// Bounded run: shard-local perturbation keeps the queue non-empty
-	// forever, so the horizon, not queue drain, ends the run — the
-	// contract perturb.Config.ShardLocal documents.
 	m.Run(int64(2 * time.Second))
 	return m, usePerturb
 }

@@ -32,15 +32,6 @@ type Config struct {
 	// Slice is the interleaving quantum within a round (O(1)-scheduler
 	// style round-robin at equal priority).
 	Slice time.Duration
-	// ShardLocal confines round balancing to the stealing core's
-	// simulation shard: queues steal only from queues in the same shard,
-	// and the round-spread invariant holds per shard rather than
-	// machine-wide. Stealing happens inside PickNext — on the core's
-	// own shard worker — so with this set DWRR runs inside parallel
-	// windows; without it, any steal may reach across shards and the
-	// simulator must serialise (machine-wide DWRR keeps windows shut via
-	// the isolation checks whenever tasks can actually cross shards).
-	ShardLocal bool
 }
 
 // DefaultConfig returns the 2.6.22-era parameters.
@@ -71,8 +62,7 @@ func NewFactory(cfg Config) (func(coreID int) sim.Scheduler, *Global) {
 	}, g
 }
 
-// Steals sums round-balancing migrations across queues. The count is
-// kept per queue so concurrent shard workers never share a counter.
+// Steals sums round-balancing migrations across queues.
 func (g *Global) Steals() int {
 	n := 0
 	for _, q := range g.queues {
@@ -82,8 +72,7 @@ func (g *Global) Steals() int {
 }
 
 // MaxRoundSpread returns the largest difference between busy cores'
-// round numbers — the DWRR invariant bounds it by 1 (per shard when
-// ShardLocal confines stealing).
+// round numbers — the DWRR invariant bounds it by 1.
 func (g *Global) MaxRoundSpread() int {
 	min, max, any := 0, 0, false
 	for _, q := range g.queues {
@@ -228,15 +217,8 @@ func (q *Queue) PickNext() *task.Task {
 func (q *Queue) stealRound() bool {
 	var victim *Queue
 	var pick *task.Task
-	shard := -1
-	if q.g.cfg.ShardLocal {
-		shard = q.g.m.ShardOf(q.core)
-	}
 	for _, o := range q.g.queues {
 		if o == q || o.round > q.round {
-			continue
-		}
-		if shard >= 0 && q.g.m.ShardOf(o.core) != shard {
 			continue
 		}
 		if !q.g.m.Cores[o.core].Online() {

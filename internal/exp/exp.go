@@ -65,17 +65,6 @@ type Context struct {
 	// the -predict flag of `lbos run`. Cells not using the speed
 	// balancer are unaffected.
 	Predict bool
-	// Shards partitions every cell's simulator into per-socket event
-	// shards (sim.Config.Shards): 0/1 keeps the single queue, larger
-	// values are clamped to the machine's socket count. Results are
-	// bit-identical at every shard count — that invariant is what
-	// internal/difftest proves.
-	Shards int
-	// ShardParallel additionally lets shard-confined spans of each
-	// cell's simulation run on parallel goroutines (conservative
-	// lookahead windows). Outputs stay bit-identical; see
-	// sim.Config.ShardParallel for the isolation contract.
-	ShardParallel bool
 	// Interrupt, when non-nil, lets an external owner (the lbosd
 	// serving daemon, a request context) abort the grid: once the
 	// channel is closed, workers skip every not-yet-started cell and
@@ -88,6 +77,23 @@ type Context struct {
 	// goroutines, and experiments log from result callbacks while the
 	// Runner logs its own progress.
 	logMu sync.Mutex
+}
+
+// CheckDials validates the run-wide dials that `lbos run` and the lbosd
+// spec share: reps ≥ 1, scale ≥ 1 and parallel ≥ 0 (0 = GOMAXPROCS),
+// checked in that order. The error names the first bad dial as both
+// front ends spell it.
+func CheckDials(reps, scale, parallel int) error {
+	if reps < 1 {
+		return fmt.Errorf("reps %d out of range (want ≥ 1)", reps)
+	}
+	if scale < 1 {
+		return fmt.Errorf("scale %d out of range (want ≥ 1)", scale)
+	}
+	if parallel < 0 {
+		return fmt.Errorf("parallel %d out of range (want ≥ 0)", parallel)
+	}
+	return nil
 }
 
 // DefaultContext returns paper-scale settings: 10 repetitions, scale 1.

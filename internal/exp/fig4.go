@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"repro/internal/cpuset"
 	"repro/internal/npb"
 	"repro/internal/spmd"
@@ -29,8 +27,10 @@ func init() {
 	})
 }
 
-// suiteData is the measurement grid shared by fig4 and table3: per
-// (benchmark, core count, strategy) samples of run time.
+// suiteData is the measurement grid behind fig4 and table3: per
+// (benchmark, core count, strategy) samples of run time. Each of the two
+// experiments measures its own grid, so a run depends only on its own
+// context (perturbation, prediction, trace and metrics sinks included).
 type suiteData struct {
 	benches []npb.Benchmark
 	cores   []int
@@ -70,22 +70,8 @@ func runSuite(ctx *Context) *suiteData {
 	return d
 }
 
-// suiteCache memoises the grid so fig4 and table3 in one process share
-// the measurements (they are the same experiment in the paper).
-var suiteCache = map[string]*suiteData{}
-
-func suiteFor(ctx *Context) *suiteData {
-	key := fmt.Sprintf("%d/%d/%d", ctx.Reps, ctx.Scale, ctx.Seed)
-	if d, ok := suiteCache[key]; ok {
-		return d
-	}
-	d := runSuite(ctx)
-	suiteCache[key] = d
-	return d
-}
-
 func runFig4(ctx *Context) []*Table {
-	d := suiteFor(ctx)
+	d := runSuite(ctx)
 	t := &Table{
 		Title: "SPEED vs LOAD per benchmark and core count (ratios < 1 favour SPEED)",
 		Columns: []string{"benchmark", "cores", "SB_AVG/LB_AVG", "SB_WORST/LB_WORST",
@@ -108,7 +94,7 @@ func runFig4(ctx *Context) []*Table {
 }
 
 func runTable3(ctx *Context) []*Table {
-	d := suiteFor(ctx)
+	d := runSuite(ctx)
 	t := &Table{
 		Title: "SPEED % improvement and % variation (aggregated over core counts)",
 		Columns: []string{"benchmark", "vs PINNED", "vs LB avg", "vs LB worst",

@@ -71,22 +71,20 @@ type openCellOut struct {
 }
 
 // openCellOpts parameterises one open-system cell beyond the policy
-// itself: load point, run length, engine settings, optional fault
-// injection and the speed balancer's predictive mode.
+// itself: load point, run length, optional fault injection and the
+// speed balancer's predictive mode.
 type openCellOpts struct {
-	rho      float64
-	horizon  time.Duration
-	seed     uint64
-	shards   int
-	shardPar bool
-	perturb  perturb.Config
-	predict  bool
+	rho     float64
+	horizon time.Duration
+	seed    uint64
+	perturb perturb.Config
+	predict bool
 }
 
 // runOpenCell simulates one (policy, ρ, seed) cell: arrivals for
 // horizon, then a drain window, then per-job accounting.
 func runOpenCell(p openPolicy, o openCellOpts) openCellOut {
-	cfg := sim.Config{Seed: o.seed, Shards: o.shards, ShardParallel: o.shardPar}
+	cfg := sim.Config{Seed: o.seed}
 	if p.dwrr {
 		cfg.NewScheduler, _ = dwrr.NewFactory(dwrr.DefaultConfig())
 	} else {
@@ -172,7 +170,6 @@ func runOpenBakeoff(ctx *Context) []*Table {
 					func() RunResult {
 						return RunResult{Out: runOpenCell(p, openCellOpts{
 							rho: rho, horizon: horizon, seed: seed,
-							shards: ctx.Shards, shardPar: ctx.ShardParallel,
 							predict: ctx.Predict,
 						})}
 					},

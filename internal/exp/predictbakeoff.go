@@ -78,7 +78,6 @@ func runPredictBakeoff(ctx *Context) []*Table {
 					func() RunResult {
 						return RunResult{Out: runOpenCell(speed, openCellOpts{
 							rho: rho, horizon: horizon, seed: seed,
-							shards: ctx.Shards, shardPar: ctx.ShardParallel,
 							perturb: fam.cfg, predict: predictive,
 						})}
 					},

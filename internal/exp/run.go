@@ -51,8 +51,6 @@ type RunOpts struct {
 	Seed uint64
 	// SpeedCfg overrides the speed balancer configuration (ablations).
 	SpeedCfg *speedbal.Config
-	// LinuxCfg overrides the Linux balancer configuration.
-	LinuxCfg *linuxlb.Config
 	// Setup installs competing workload on the machine before the app
 	// starts (cpu-hog, make -j). May be nil.
 	Setup func(m *sim.Machine)
@@ -65,11 +63,6 @@ type RunOpts struct {
 	// configure prediction. The Runner copies Context.Predict here. Only
 	// StratSpeed runs are affected.
 	Predict bool
-	// Shards and ShardParallel select the sharded simulator engine
-	// (sim.Config fields of the same names). The Runner copies the
-	// Context values here for cells that leave them zero.
-	Shards        int
-	ShardParallel bool
 	// Limit caps the simulated time (default 2000 s).
 	Limit time.Duration
 	// Tracer, when non-nil, receives the run's scheduling events. The
@@ -112,8 +105,7 @@ type RunResult struct {
 // Run executes one measurement.
 func Run(o RunOpts) RunResult {
 	tp := o.Topo()
-	cfg := sim.Config{Seed: o.Seed, Tracer: o.Tracer, Metrics: o.Metrics,
-		Shards: o.Shards, ShardParallel: o.ShardParallel}
+	cfg := sim.Config{Seed: o.Seed, Tracer: o.Tracer, Metrics: o.Metrics}
 	var dwrrG *dwrr.Global
 	if o.Strategy == StratDWRR {
 		cfg.NewScheduler, dwrrG = dwrr.NewFactory(dwrr.DefaultConfig())
@@ -125,11 +117,7 @@ func Run(o RunOpts) RunResult {
 	var sb *speedbal.Balancer
 	switch o.Strategy {
 	case StratPinned, StratLoad, StratSpeed:
-		lcfg := linuxlb.DefaultConfig()
-		if o.LinuxCfg != nil {
-			lcfg = *o.LinuxCfg
-		}
-		m.AddActor(linuxlb.New(lcfg))
+		m.AddActor(linuxlb.Default())
 	case StratULE:
 		m.AddActor(ule.Default())
 	case StratDWRR:
@@ -151,9 +139,9 @@ func Run(o RunOpts) RunResult {
 	app := spmd.Build(m, o.Spec)
 	// The stop-on-completion hook is a machine-global effect that can
 	// fire from whichever shard retires the app's last task, so this run
-	// must never open a parallel window (the sharded queue and its
-	// deterministic merge still apply). Long-running workloads that want
-	// windowed execution drive the machine directly (sim.Machine.Run).
+	// must never open a parallel window, whatever shard count its machine
+	// gets. Long-running workloads that want windowed execution drive
+	// the machine directly (sim.Machine.Run).
 	m.BlockWindows()
 	app.OnDone(func(*spmd.App) { m.Stop() })
 	switch o.Strategy {

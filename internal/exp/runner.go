@@ -101,12 +101,6 @@ func (r *Runner) submitRun(label string, o RunOpts, fn func(RunResult)) {
 		// their own perturbation (noise-* drivers) keep it.
 		o.Perturb = r.ctx.Perturb
 	}
-	if o.Shards == 0 {
-		// -shards composes onto any experiment; cells that pick their
-		// own shard count keep it.
-		o.Shards = r.ctx.Shards
-		o.ShardParallel = o.ShardParallel || r.ctx.ShardParallel
-	}
 	// -predict composes onto any experiment; cells that configure
 	// prediction through their own SpeedCfg keep it.
 	o.Predict = o.Predict || r.ctx.Predict

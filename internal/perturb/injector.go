@@ -26,40 +26,23 @@ type Injector struct {
 	noiseStolen []float64
 	stormStolen []float64
 
-	// Per-core injector states, kept for counter aggregation: each
-	// state counts its own events so concurrent shard workers (under
-	// Config.ShardLocal) never share a counter.
-	noiseStates []*noiseState
-	kthreads    []*kthreadProgram
-	freqStates  []*freqState
+	// noiseBursts and freqSteps count injected noise bursts (IRQ-style
+	// and kthread daemons alike) and frequency-walk steps across cores.
+	noiseBursts int
+	freqSteps   int
 
 	// Storms and Hotplugs count injected events of the machine-global
-	// families (always fired on the control queue, never concurrently).
+	// families.
 	Storms   int
 	Hotplugs int
 }
 
-// NoiseBursts sums injected noise bursts across cores (IRQ-style and
-// kthread daemons alike).
-func (in *Injector) NoiseBursts() int {
-	n := 0
-	for _, st := range in.noiseStates {
-		n += st.bursts
-	}
-	for _, p := range in.kthreads {
-		n += p.bursts
-	}
-	return n
-}
+// NoiseBursts returns the number of injected noise bursts across cores
+// (IRQ-style and kthread daemons alike).
+func (in *Injector) NoiseBursts() int { return in.noiseBursts }
 
-// FreqSteps sums frequency-walk steps across cores.
-func (in *Injector) FreqSteps() int {
-	n := 0
-	for _, st := range in.freqStates {
-		n += st.steps
-	}
-	return n
-}
+// FreqSteps returns the number of frequency-walk steps across cores.
+func (in *Injector) FreqSteps() int { return in.freqSteps }
 
 // New builds an injector for the configuration. An inert configuration
 // yields an injector whose Start does nothing.
@@ -83,12 +66,7 @@ func (in *Injector) Start(m *sim.Machine) {
 				continue
 			}
 			st := &noiseState{in: in, core: c.ID(), rng: m.RNG()}
-			in.noiseStates = append(in.noiseStates, st)
-			if in.cfg.ShardLocal {
-				st.timer = m.NewCoreTimer(st.core, st.fire)
-			} else {
-				st.timer = m.NewTimer(st.fire)
-			}
+			st.timer = m.NewTimer(st.fire)
 			// Desynchronised first bursts: one uniform draw over the
 			// period, so the cores do not pulse in lockstep.
 			st.timer.Schedule(m.Now() + st.rng.Jitter(int64(n.Period)) + 1)
@@ -108,16 +86,11 @@ func (in *Injector) Start(m *sim.Machine) {
 				continue
 			}
 			st := &freqState{in: in, core: c.ID(), rng: m.RNG()}
-			in.freqStates = append(in.freqStates, st)
 			// Initial asymmetry: each core starts at a random factor in
 			// [Min, Max] — §6.6's asymmetric machine at time zero.
 			st.f = f.Min + st.rng.Float64()*(f.Max-f.Min)
 			in.setFreq(st.core, st.f)
-			if in.cfg.ShardLocal {
-				st.timer = m.NewCoreTimer(st.core, st.fire)
-			} else {
-				st.timer = m.NewTimer(st.fire)
-			}
+			st.timer = m.NewTimer(st.fire)
 			st.timer.Schedule(m.Now() + jittered(st.rng, f.Interval, f.Jitter))
 		}
 	}
@@ -164,7 +137,6 @@ func (in *Injector) count(name string) {
 // Machine.Stop (as the experiment harness does), not by draining.
 func (in *Injector) spawnKthread(core int, rng *xrand.RNG) {
 	p := &kthreadProgram{in: in, rng: rng}
-	in.kthreads = append(in.kthreads, p)
 	t := in.m.NewTask(fmt.Sprintf("kworker/%d", core), p)
 	t.Group = "kthread"
 	t.Affinity = cpuset.Of(core)
@@ -180,7 +152,6 @@ type kthreadProgram struct {
 	rng     *xrand.RNG
 	started bool
 	burst   bool
-	bursts  int
 }
 
 func (p *kthreadProgram) Next(t *task.Task, now int64) task.Action {
@@ -199,7 +170,7 @@ func (p *kthreadProgram) Next(t *task.Task, now int64) task.Action {
 	}
 	p.burst = true
 	work := float64(jittered(p.rng, cfg.Duration, cfg.Jitter)) * cfg.Steal
-	p.bursts++
+	p.in.noiseBursts++
 	p.in.count("perturb.noise_bursts")
 	if p.in.m.Tracing() {
 		p.in.m.Emit(trace.Event{Kind: trace.KindNoiseBegin, Core: t.CoreID, Label: "kthread",
@@ -211,12 +182,11 @@ func (p *kthreadProgram) Next(t *task.Task, now int64) task.Action {
 // noiseState is one core's kernel-noise burst machine: it alternates
 // burst-begin and burst-end firings of a single reusable timer.
 type noiseState struct {
-	in     *Injector
-	core   int
-	rng    *xrand.RNG
-	timer  *sim.Timer
-	burst  bool
-	bursts int
+	in    *Injector
+	core  int
+	rng   *xrand.RNG
+	timer *sim.Timer
+	burst bool
 }
 
 func (st *noiseState) fire(now int64) {
@@ -230,20 +200,18 @@ func (st *noiseState) fire(now int64) {
 		if in.m.Tracing() {
 			in.m.Emit(trace.Event{Kind: trace.KindNoiseEnd, Core: st.core, Label: "noise", SK: s})
 		}
-		if !in.cfg.ShardLocal && in.m.LiveTasks() == 0 {
+		if in.m.LiveTasks() == 0 {
 			return // workload drained: stop injecting so the run can end
 		}
 		st.timer.Schedule(now + jittered(st.rng, cfg.Period, cfg.Jitter))
 		return
 	}
-	// ShardLocal mode never reads the machine-global live count (the
-	// run is horizon-bounded by contract); otherwise stop on drain.
-	if !in.cfg.ShardLocal && in.m.LiveTasks() == 0 {
+	if in.m.LiveTasks() == 0 {
 		return
 	}
 	st.burst = true
 	dur := jittered(st.rng, cfg.Duration, cfg.Jitter)
-	st.bursts++
+	in.noiseBursts++
 	in.count("perturb.noise_bursts")
 	in.noiseStolen[st.core] = cfg.Steal
 	s := in.apply(st.core)
@@ -305,13 +273,12 @@ type freqState struct {
 	rng   *xrand.RNG
 	timer *sim.Timer
 	f     float64
-	steps int
 }
 
 func (st *freqState) fire(now int64) {
 	in := st.in
 	cfg := &in.cfg.Freq
-	if !in.cfg.ShardLocal && in.m.LiveTasks() == 0 {
+	if in.m.LiveTasks() == 0 {
 		return
 	}
 	st.f += cfg.Step * (2*st.rng.Float64() - 1)
@@ -321,7 +288,7 @@ func (st *freqState) fire(now int64) {
 	if st.f > cfg.Max {
 		st.f = cfg.Max
 	}
-	st.steps++
+	in.freqSteps++
 	in.count("perturb.freq_steps")
 	in.setFreq(st.core, st.f)
 	st.timer.Schedule(now + jittered(st.rng, cfg.Interval, cfg.Jitter))

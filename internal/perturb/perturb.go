@@ -121,17 +121,6 @@ type Config struct {
 	Hotplug HotplugConfig
 	Freq    FreqConfig
 	Storm   StormConfig
-
-	// ShardLocal routes the per-core families (IRQ-style noise bursts
-	// and frequency drift) onto their cores' shard queues, so they run
-	// inside parallel windows instead of bounding conservative
-	// lookahead. Each per-core injector only ever touches its own core,
-	// so results stay bit-identical — with one contract change: the
-	// injectors stop watching for workload drain (a machine-global
-	// read), so the run must be bounded by Machine.Run(until) or Stop
-	// rather than by the event queue emptying. Hotplug and storms are
-	// machine-global by nature and always stay on the control queue.
-	ShardLocal bool
 }
 
 // Active reports whether any perturbation family is enabled.

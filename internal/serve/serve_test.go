@@ -364,6 +364,9 @@ func TestSubmitValidation(t *testing.T) {
 		`{"experiment":"fig1","bogus":1}`,
 		`{"experiment":"fig1","perturb":"zap"}`,
 		`{"experiment":"fig1","reps":-1}`,
+		`{"experiment":"fig3t","reps":65536}`,
+		`{"experiment":"fig1","shards":4}`,
+		`{"experiment":"fig1","shardpar":true}`,
 	} {
 		w := doReq(t, s.Handler(), "POST", "/v1/runs", body)
 		if w.Code != http.StatusBadRequest {

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"runtime/debug"
 	"strings"
 
@@ -16,20 +17,19 @@ import (
 // Spec is the wire form of one experiment request: the JSON document a
 // client POSTs to /v1/runs. It mirrors the knobs of `lbos run` — an
 // experiment ID from the internal/exp registry plus the workload dials
-// (reps, scale, seed, perturb, predict) and the engine dials (parallel,
-// shards, shardpar).
+// (reps, scale, seed, perturb, predict) and one engine dial (parallel).
 //
 // The two groups are deliberately distinct. Workload dials select *what*
-// is computed and are part of the cache identity; engine dials select
-// *how fast* it is computed and are normalised out of the cache key,
-// because the repository-wide determinism contract (README "Determinism
-// policy", proven by internal/difftest) guarantees the output bytes are
-// identical at every -parallel/-shards/-shardpar level.
+// is computed and are part of the cache identity; the engine dial
+// selects *how fast* it is computed and is normalised out of the cache
+// key, because the repository-wide determinism contract (README
+// "Determinism policy", proven by internal/difftest) guarantees the
+// output bytes are identical at every -parallel level.
 type Spec struct {
 	// Experiment is the registry ID (`lbos list`), e.g. "fig1".
 	Experiment string `json:"experiment"`
 	// Reps is the repetitions per configuration (default 10, the
-	// paper's count).
+	// paper's count; at most MaxReps).
 	Reps int `json:"reps,omitempty"`
 	// Scale divides workload sizes (default 1 = full paper scale).
 	Scale int `json:"scale,omitempty"`
@@ -51,12 +51,6 @@ type Spec struct {
 	// Parallel is the experiment grid's worker count (0 = GOMAXPROCS).
 	// Engine dial: not part of the cache key.
 	Parallel int `json:"parallel,omitempty"`
-	// Shards partitions each run's simulator into per-socket event
-	// shards. Engine dial: not part of the cache key.
-	Shards int `json:"shards,omitempty"`
-	// ShardParallel opens conservative lookahead windows. Engine dial:
-	// not part of the cache key.
-	ShardParallel bool `json:"shardpar,omitempty"`
 }
 
 // Default workload dials, matching `lbos run`.
@@ -65,6 +59,11 @@ const (
 	DefaultScale = 1
 	DefaultSeed  = 20100109
 )
+
+// MaxReps caps a spec's repetitions at ten times the paper's count. The
+// runner builds an experiment's whole grid before any cell runs, so the
+// cap bounds the memory one small request can claim.
+const MaxReps = 100
 
 // ParseSpec decodes a wire spec strictly: unknown fields are errors, so
 // a typo'd knob fails loudly instead of silently running the default.
@@ -75,8 +74,9 @@ func ParseSpec(data []byte) (Spec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("serve: invalid spec: %w", err)
 	}
-	// Trailing garbage after the document is also a client error.
-	if dec.More() {
+	// Anything but whitespace after the document is also a client
+	// error, stray closing brackets included.
+	if _, err := dec.Token(); err != io.EOF {
 		return Spec{}, fmt.Errorf("serve: invalid spec: trailing data after JSON document")
 	}
 	return s, nil
@@ -86,16 +86,17 @@ func ParseSpec(data []byte) (Spec, error) {
 // canonical form every equivalent submission maps to. The rules:
 //
 //   - Experiment must name a registered experiment.
-//   - Reps/Scale default to 10/1 and must be ≥ 1; Seed defaults to
-//     20100109 (a seed of 0 means "default", like the CLI).
+//   - Reps/Scale default to 10/1 and Seed to 20100109 (a seed of 0
+//     means "default", like the CLI); then exp.CheckDials bounds reps,
+//     scale and parallel from below, and reps must not exceed MaxReps.
 //   - Perturb is parsed (unknown families are errors) and rewritten to
 //     a canonical family list: segments trimmed, empties dropped,
 //     "all" expanded to "noise,hotplug,freq,storm", exact duplicates
 //     deduplicated. Segment order is otherwise preserved — it carries
 //     meaning ("noise,kthread" and "kthread,noise" pick different
 //     noise presets, last one wins).
-//   - Engine dials (Parallel, Shards, ShardParallel) are validated but
-//     left as-is; Key ignores them.
+//   - The engine dial (Parallel) is validated but left as-is; Key
+//     ignores it.
 func (s Spec) Canonicalize() (Spec, error) {
 	if s.Experiment == "" {
 		return Spec{}, fmt.Errorf("serve: spec has no experiment ID")
@@ -106,23 +107,17 @@ func (s Spec) Canonicalize() (Spec, error) {
 	if s.Reps == 0 {
 		s.Reps = DefaultReps
 	}
-	if s.Reps < 1 {
-		return Spec{}, fmt.Errorf("serve: reps %d out of range (want ≥ 1)", s.Reps)
-	}
 	if s.Scale == 0 {
 		s.Scale = DefaultScale
-	}
-	if s.Scale < 1 {
-		return Spec{}, fmt.Errorf("serve: scale %d out of range (want ≥ 1)", s.Scale)
 	}
 	if s.Seed == 0 {
 		s.Seed = DefaultSeed
 	}
-	if s.Parallel < 0 {
-		return Spec{}, fmt.Errorf("serve: parallel %d out of range (want ≥ 0)", s.Parallel)
+	if err := exp.CheckDials(s.Reps, s.Scale, s.Parallel); err != nil {
+		return Spec{}, fmt.Errorf("serve: %w", err)
 	}
-	if s.Shards < 0 {
-		return Spec{}, fmt.Errorf("serve: shards %d out of range (want ≥ 0)", s.Shards)
+	if s.Reps > MaxReps {
+		return Spec{}, fmt.Errorf("serve: reps %d out of range (want ≤ %d)", s.Reps, MaxReps)
 	}
 	canon, err := canonicalPerturb(s.Perturb)
 	if err != nil {
@@ -226,15 +221,13 @@ func (s Spec) Context(interrupt <-chan struct{}) (*exp.Context, error) {
 		return nil, err
 	}
 	return &exp.Context{
-		Reps:          s.Reps,
-		Scale:         s.Scale,
-		Seed:          s.Seed,
-		Parallelism:   s.Parallel,
-		Perturb:       pcfg,
-		Predict:       s.Predict,
-		Shards:        s.Shards,
-		ShardParallel: s.ShardParallel,
-		Interrupt:     interrupt,
+		Reps:        s.Reps,
+		Scale:       s.Scale,
+		Seed:        s.Seed,
+		Parallelism: s.Parallel,
+		Perturb:     pcfg,
+		Predict:     s.Predict,
+		Interrupt:   interrupt,
 	}, nil
 }
 

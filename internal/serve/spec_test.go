@@ -9,8 +9,17 @@ func TestParseSpecStrict(t *testing.T) {
 	if _, err := ParseSpec([]byte(`{"experiment":"fig1","repz":3}`)); err == nil {
 		t.Error("unknown field accepted")
 	}
-	if _, err := ParseSpec([]byte(`{"experiment":"fig1"} trailing`)); err == nil {
-		t.Error("trailing data accepted")
+	for _, trailing := range []string{
+		`{"experiment":"fig1"} trailing`,
+		`{"experiment":"fig1"}}`,
+		`{"experiment":"fig1"}]`,
+	} {
+		if _, err := ParseSpec([]byte(trailing)); err == nil {
+			t.Errorf("trailing data accepted: %s", trailing)
+		}
+	}
+	if _, err := ParseSpec([]byte("{\"experiment\":\"fig1\"}\n")); err != nil {
+		t.Errorf("trailing newline rejected: %v", err)
 	}
 	s, err := ParseSpec([]byte(`{"experiment":"fig1","reps":3,"seed":7}`))
 	if err != nil {
@@ -31,13 +40,13 @@ func TestCanonicalizeDefaultsAndValidation(t *testing.T) {
 	}
 
 	for _, bad := range []Spec{
-		{},                                   // no experiment
-		{Experiment: "no-such-experiment"},   // unregistered
-		{Experiment: "fig1", Reps: -1},       // bad reps
-		{Experiment: "fig1", Scale: -2},      // bad scale
-		{Experiment: "fig1", Perturb: "zap"}, // unknown family
-		{Experiment: "fig1", Shards: -1},     // bad shards
-		{Experiment: "fig1", Parallel: -3},   // bad parallel
+		{},                                      // no experiment
+		{Experiment: "no-such-experiment"},      // unregistered
+		{Experiment: "fig1", Reps: -1},          // bad reps
+		{Experiment: "fig1", Reps: MaxReps + 1}, // too many reps
+		{Experiment: "fig1", Scale: -2},         // bad scale
+		{Experiment: "fig1", Perturb: "zap"},    // unknown family
+		{Experiment: "fig1", Parallel: -3},      // bad parallel
 	} {
 		if _, err := bad.Canonicalize(); err == nil {
 			t.Errorf("spec %+v canonicalized without error", bad)
@@ -86,12 +95,12 @@ func TestKeyCoversWorkloadNotEngine(t *testing.T) {
 	}
 	key := base.Key("v1")
 
-	// Engine dials do not move the key: the determinism contract says
-	// they cannot change one output byte.
+	// The engine dial does not move the key: the determinism contract
+	// says it cannot change one output byte.
 	engine := base
-	engine.Parallel, engine.Shards, engine.ShardParallel = 8, 4, true
+	engine.Parallel = 8
 	if engine.Key("v1") != key {
-		t.Error("engine dials changed the cache key")
+		t.Error("the engine dial changed the cache key")
 	}
 
 	// Workload dials and the code version do.
@@ -131,5 +140,30 @@ func TestCanonicalJSONIsTotal(t *testing.T) {
 	want := `{"experiment":"fig1","reps":10,"scale":1,"seed":20100109,"perturb":"","predict":false,"trace":false,"metrics":false}`
 	if got != want {
 		t.Errorf("canonical JSON\n got %s\nwant %s", got, want)
+	}
+}
+
+// The dial bounds answer with fixed texts: lbosd clients see them in 400
+// bodies, and the lower-bound texts are shared with `lbos run` through
+// exp.CheckDials.
+func TestDialErrorTexts(t *testing.T) {
+	for _, c := range []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{Experiment: "fig1", Reps: -1}, "serve: reps -1 out of range (want ≥ 1)"},
+		{Spec{Experiment: "fig1", Scale: -2}, "serve: scale -2 out of range (want ≥ 1)"},
+		{Spec{Experiment: "fig1", Parallel: -3}, "serve: parallel -3 out of range (want ≥ 0)"},
+		{Spec{Experiment: "fig1", Reps: -1, Scale: -2, Parallel: -3}, "serve: reps -1 out of range (want ≥ 1)"},
+		{Spec{Experiment: "fig3t", Reps: 65536}, "serve: reps 65536 out of range (want ≤ 100)"},
+		{Spec{Experiment: "fig1", Reps: 101, Scale: -2}, "serve: scale -2 out of range (want ≥ 1)"},
+	} {
+		_, err := c.spec.Canonicalize()
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%+v: error %v, want %q", c.spec, err, c.want)
+		}
+	}
+	if _, err := (Spec{Experiment: "fig1", Reps: MaxReps}).Canonicalize(); err != nil {
+		t.Errorf("reps at the cap rejected: %v", err)
 	}
 }

@@ -215,7 +215,7 @@ func (c *Core) effSpeed(t *task.Task) float64 {
 	}
 	for _, sid := range c.smtMates {
 		if c.m.Cores[sid].cur != nil {
-			s *= c.m.cfg.SMTContentionFactor
+			s *= SMTContention
 			break
 		}
 	}
@@ -510,9 +510,9 @@ func (c *Core) onStop() {
 			// does not pay one event per microsecond of mutual
 			// yielding. CPU accounting is unchanged — waiters still
 			// charge their exec time — only the interleaving grain is.
-			next := c.m.cfg.CheckCost
+			next := checkCost
 			if c.onlyYieldWaitersQueued() {
-				next = c.m.cfg.YieldGroupCheck
+				next = yieldGroupCheck
 			}
 			c.stopCurrent()
 			c.sched.Yield(t)
@@ -529,16 +529,16 @@ func (c *Core) onStop() {
 		}
 		if t.Cur.CheckLeft == 0 {
 			// Condition still unmet: usleep before the next check,
-			// backing off exponentially up to PollMax as usleep-based
+			// backing off exponentially up to pollMax as usleep-based
 			// barrier loops do.
-			t.Cur.CheckLeft = c.m.cfg.CheckCost
+			t.Cur.CheckLeft = checkCost
 			backoff := t.Cur.PollBackoff
 			if backoff == 0 {
-				backoff = c.m.cfg.PollInterval
-			} else if backoff < c.m.cfg.PollMax {
+				backoff = pollInterval
+			} else if backoff < pollMax {
 				backoff *= 2
-				if backoff > c.m.cfg.PollMax {
-					backoff = c.m.cfg.PollMax
+				if backoff > pollMax {
+					backoff = pollMax
 				}
 			}
 			t.Cur.PollBackoff = backoff

@@ -66,6 +66,33 @@ func (s *Stats) TotalMigrations() int {
 	return n
 }
 
+// Fixed substrate parameters. Every run of the paper's evaluation uses
+// the same machine model, so these are constants rather than settings.
+const (
+	// SMTContention is the speed multiplier applied to a core whose SMT
+	// sibling context is busy (the paper's §6 observation that a task
+	// sharing a physical core runs slower).
+	SMTContention = 0.65
+	// pollInterval is the initial sleep length between checks of a
+	// WaitPollSleep waiter (the usleep(1) call in the paper's modified
+	// UPC runtime, 50 µs of effective sleep). Unsuccessful checks back
+	// off exponentially to pollMax.
+	pollInterval = 50 * time.Microsecond
+	pollMax      = 2 * time.Millisecond
+	// checkCost is the CPU cost of one condition check in yield/poll
+	// waits.
+	checkCost = time.Microsecond
+	// yieldGroupCheck is the coarsened check interval used when every
+	// runnable task on a core is an unreleased yield-waiter — the
+	// interleaving grain of a symmetric sched_yield ping-pong (the
+	// waiters burn CPU either way).
+	yieldGroupCheck = time.Millisecond
+	// windowMin is the minimum sync-horizon span worth parallelising;
+	// shorter windows run sequentially to amortize goroutine
+	// coordination.
+	windowMin = 20 * time.Microsecond
+)
+
 // Config carries machine construction options.
 type Config struct {
 	// Seed feeds the machine RNG; actors split their own streams off
@@ -73,25 +100,6 @@ type Config struct {
 	Seed uint64
 	// NewScheduler builds the per-core scheduling policy. Required.
 	NewScheduler func(coreID int) Scheduler
-	// SMTContentionFactor is the speed multiplier applied to a core
-	// whose SMT sibling context is busy (default 0.65, per the paper's
-	// §6 observation that a task sharing a physical core runs slower).
-	SMTContentionFactor float64
-	// PollInterval is the initial sleep length between checks of a
-	// WaitPollSleep waiter (the usleep(1) call in the paper's modified
-	// UPC runtime; default 50 µs of effective sleep). Unsuccessful
-	// checks back off exponentially to PollMax (default 2 ms).
-	PollInterval time.Duration
-	// PollMax caps the poll-sleep backoff.
-	PollMax time.Duration
-	// CheckCost is the CPU cost of one condition check in yield/poll
-	// waits (default 1 µs).
-	CheckCost time.Duration
-	// YieldGroupCheck is the coarsened check interval used when every
-	// runnable task on a core is an unreleased yield-waiter — the
-	// interleaving grain of a symmetric sched_yield ping-pong (default
-	// 1 ms; the waiters burn CPU either way).
-	YieldGroupCheck time.Duration
 	// Tracer receives scheduling events (migrations, balancer decisions,
 	// barrier crossings, run stints). Nil disables tracing; emission
 	// sites skip event construction entirely on the nil path.
@@ -118,34 +126,6 @@ type Config struct {
 	// violations it can detect. Results are byte-identical with the flag
 	// on or off; only wall-clock time changes.
 	ShardParallel bool
-	// WindowMin is the minimum sync-horizon span worth parallelising
-	// (default 20 µs of simulated time); shorter windows run
-	// sequentially to amortize goroutine coordination.
-	WindowMin time.Duration
-}
-
-func (c *Config) fill() {
-	if c.SMTContentionFactor == 0 {
-		c.SMTContentionFactor = 0.65
-	}
-	if c.PollInterval == 0 {
-		c.PollInterval = 50 * time.Microsecond
-	}
-	if c.PollMax == 0 {
-		c.PollMax = 2 * time.Millisecond
-	}
-	if c.CheckCost == 0 {
-		c.CheckCost = time.Microsecond
-	}
-	if c.YieldGroupCheck == 0 {
-		c.YieldGroupCheck = time.Millisecond
-	}
-	if c.Shards < 1 {
-		c.Shards = 1
-	}
-	if c.WindowMin == 0 {
-		c.WindowMin = 20 * time.Microsecond
-	}
 }
 
 // shardState is the mutable per-shard context of the event loop: the
@@ -168,7 +148,6 @@ type Machine struct {
 	Cores []*Core
 	Stats Stats
 
-	cfg       Config
 	events    *eventq.Sharded
 	now       int64
 	rng       *xrand.RNG
@@ -208,6 +187,9 @@ type Machine struct {
 	// contained in single shards — a precondition of parallel windows
 	// (always true for socket-aligned partitions of sane topologies).
 	shardClosed bool
+	// shardParallel is Config.ShardParallel: whether Run may open
+	// parallel windows at all.
+	shardParallel bool
 	// window is true while shard workers drain their queues in parallel.
 	// Written only between windows; in-window code reads it to pick the
 	// shard clock over the machine clock.
@@ -236,13 +218,12 @@ func New(tp *topo.Topology, cfg Config) *Machine {
 	if err := tp.Validate(); err != nil {
 		panic(fmt.Sprintf("sim: invalid topology: %v", err))
 	}
-	cfg.fill()
 	m := &Machine{
-		Topo:    tp,
-		cfg:     cfg,
-		rng:     xrand.New(cfg.Seed),
-		tracer:  cfg.Tracer,
-		metrics: cfg.Metrics,
+		Topo:          tp,
+		rng:           xrand.New(cfg.Seed),
+		tracer:        cfg.Tracer,
+		metrics:       cfg.Metrics,
+		shardParallel: cfg.ShardParallel,
 	}
 	m.Stats.Migrations = make(map[string]int)
 	m.partition(cfg.Shards)
@@ -293,8 +274,8 @@ func New(tp *topo.Topology, cfg Config) *Machine {
 // partition computes the socket-aligned shard layout: sockets are dealt
 // to shards in balanced contiguous runs, and every core inherits its
 // socket's shard. Sharding never alters results — it only decides which
-// sub-queue holds a core's events — so a shard count above the socket
-// count is simply clamped.
+// sub-queue holds a core's events — so a shard count is clamped to
+// [1, sockets].
 func (m *Machine) partition(want int) {
 	tp := m.Topo
 	// Sockets in first-appearance order (== ascending on sane machines).
@@ -310,6 +291,9 @@ func (m *Machine) partition(want int) {
 	n := want
 	if n > len(sockets) {
 		n = len(sockets)
+	}
+	if n < 1 {
+		n = 1
 	}
 	m.nShards = n
 	m.shardOf = make([]int32, len(tp.Cores))
@@ -351,9 +335,6 @@ func (m *Machine) partition(want int) {
 		}
 	}
 }
-
-// Shards returns the number of event-queue shards (1 when unsharded).
-func (m *Machine) Shards() int { return m.nShards }
 
 // ShardOf returns the shard owning the core's events.
 func (m *Machine) ShardOf(core int) int { return int(m.shardOf[core]) }
@@ -415,9 +396,6 @@ func (m *Machine) RNG() *xrand.RNG {
 	}
 	return m.rng.Split()
 }
-
-// Config returns the machine configuration.
-func (m *Machine) Config() Config { return m.cfg }
 
 // Tasks returns all tasks ever added, in creation order.
 func (m *Machine) Tasks() []*task.Task { return m.tasks }
@@ -1028,9 +1006,9 @@ func (m *Machine) advance(t *task.Task) {
 				}
 				t.Cur = task.Exec{Kind: task.ExecSpin, Cond: a.C, Policy: a.Policy, SpinLeft: bt}
 			case task.WaitYield:
-				t.Cur = task.Exec{Kind: task.ExecYieldWait, Cond: a.C, Policy: a.Policy, CheckLeft: m.cfg.CheckCost}
+				t.Cur = task.Exec{Kind: task.ExecYieldWait, Cond: a.C, Policy: a.Policy, CheckLeft: checkCost}
 			case task.WaitPollSleep:
-				t.Cur = task.Exec{Kind: task.ExecPollWait, Cond: a.C, Policy: a.Policy, CheckLeft: m.cfg.CheckCost}
+				t.Cur = task.Exec{Kind: task.ExecPollWait, Cond: a.C, Policy: a.Policy, CheckLeft: checkCost}
 			case task.WaitBlock:
 				t.Cur = task.Exec{Kind: task.ExecBlocked, Cond: a.C, Policy: a.Policy}
 				m.block(t)
@@ -1200,7 +1178,7 @@ func (m *Machine) Run(until int64) int64 {
 			a.Start(m)
 		}
 	}
-	parallel := m.cfg.ShardParallel && m.nShards > 1 && m.shardClosed
+	parallel := m.shardParallel && m.nShards > 1 && m.shardClosed
 	for !m.stopped {
 		if parallel && m.tryWindow(until) {
 			continue
@@ -1248,7 +1226,7 @@ func (m *Machine) tryWindow(until int64) bool {
 	if g := m.events.PeekGlobal(); g != nil && g.At < horizon {
 		horizon = g.At
 	}
-	if horizon-m.now < int64(m.cfg.WindowMin) {
+	if horizon-m.now < int64(windowMin) {
 		return false
 	}
 	// Parallelism pays only when at least two shards have work before

@@ -7,17 +7,20 @@ import (
 
 	"repro/internal/cfs"
 	"repro/internal/cpuset"
+	"repro/internal/dwrr"
+	"repro/internal/perturb"
 	"repro/internal/sim"
 	"repro/internal/spmd"
 	"repro/internal/task"
 	"repro/internal/topo"
+	"repro/internal/ule"
 )
 
 // shardCfg builds a CFS machine config with the given shard settings.
 func shardCfg(seed uint64, shards int, par bool) sim.Config {
 	return sim.Config{
 		Seed:          seed,
-		NewScheduler:  func(coreID int) sim.Scheduler { return cfs.New(cfs.DefaultParams()) },
+		NewScheduler:  cfs.Factory(),
 		Shards:        shards,
 		ShardParallel: par,
 	}
@@ -70,37 +73,100 @@ func socketApps(m *sim.Machine, model spmd.Model, iters int) []*spmd.App {
 }
 
 // TestShardCountInvariance is the core refactor guarantee: the shard
-// partition must not change one bit of any simulation result. A
-// cross-socket workload (full-machine affinity, sleeps, barriers,
-// migrations off the default placer) runs bit-identically at every
-// shard count.
+// partition must not change one bit of any simulation result. Three
+// cross-socket workloads run bit-identically at every shard count:
+//   - CFS with full-machine affinity, sleeps, barriers and migrations
+//     off the default placer;
+//   - DWRR, whose round balancing steals from every queue on the
+//     machine;
+//   - ULE under hotplug churn, whose drains and re-placements move tasks
+//     between shards.
 func TestShardCountInvariance(t *testing.T) {
-	run := func(shards int) string {
-		m := sim.New(topo.Tigerton(), shardCfg(7, shards, false))
-		app := spmd.Build(m, spmd.Spec{
-			Name: "a", Threads: 24, Iterations: 6,
-			WorkPerIteration: float64(200 * time.Microsecond),
-			WorkJitter:       0.5, MemIntensity: 0.5,
-			Model: spmd.UPCSleep(),
+	for _, c := range []struct {
+		name string
+		run  func(shards int) (*sim.Machine, int)
+	}{
+		{"cfs", cfsCrossSocket},
+		{"dwrr", dwrrCrossSocket},
+		{"ule-hotplug", uleHotplugCrossSocket},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m, events := c.run(1)
+			if events == 0 {
+				t.Fatal("the workload never exercised the mechanism under test")
+			}
+			want := fingerprint(m)
+			for _, shards := range []int{2, 4} {
+				m, _ := c.run(shards)
+				if got := fingerprint(m); got != want {
+					t.Errorf("shards=%d diverged from shards=1:\n%s", shards, diffLines(want, got))
+				}
+			}
 		})
-		app.Start()
-		// A second app with sleep phases keeps wake timers hopping
-		// between cores (and hence shards) via the idle placer.
-		b := spmd.Build(m, spmd.Spec{
-			Name: "b", Threads: 8, Iterations: 4,
-			WorkPerIteration: float64(150 * time.Microsecond),
-			Model:            spmd.OpenMPDefault(),
-		})
-		b.Start()
-		m.Run(int64(50 * time.Millisecond))
-		return fingerprint(m)
 	}
-	want := run(1)
-	for _, shards := range []int{2, 4} {
-		if got := run(shards); got != want {
-			t.Errorf("shards=%d diverged from shards=1:\n%s", shards, diffLines(want, got))
-		}
-	}
+}
+
+// cfsCrossSocket runs two full-machine CFS apps on Tigerton and reports
+// the run's wakeups.
+func cfsCrossSocket(shards int) (*sim.Machine, int) {
+	m := sim.New(topo.Tigerton(), shardCfg(7, shards, false))
+	app := spmd.Build(m, spmd.Spec{
+		Name: "a", Threads: 24, Iterations: 6,
+		WorkPerIteration: float64(200 * time.Microsecond),
+		WorkJitter:       0.5, MemIntensity: 0.5,
+		Model: spmd.UPCSleep(),
+	})
+	app.Start()
+	// A second app with sleep phases keeps wake timers hopping
+	// between cores (and hence shards) via the idle placer.
+	b := spmd.Build(m, spmd.Spec{
+		Name: "b", Threads: 8, Iterations: 4,
+		WorkPerIteration: float64(150 * time.Microsecond),
+		Model:            spmd.OpenMPDefault(),
+	})
+	b.Start()
+	m.Run(int64(50 * time.Millisecond))
+	return m, m.Stats.Wakeups
+}
+
+// dwrrCrossSocket oversubscribes Tigerton under DWRR for several
+// 100 ms rounds and reports the round-balancing steals.
+func dwrrCrossSocket(shards int) (*sim.Machine, int) {
+	cfg := shardCfg(17, shards, false)
+	var g *dwrr.Global
+	cfg.NewScheduler, g = dwrr.NewFactory(dwrr.DefaultConfig())
+	m := sim.New(topo.Tigerton(), cfg)
+	app := spmd.Build(m, spmd.Spec{
+		Name: "a", Threads: 20, Iterations: 8,
+		WorkPerIteration: float64(30 * time.Millisecond),
+		WorkJitter:       0.4, MemIntensity: 0.3,
+		Model: spmd.UPCSleep(),
+	})
+	app.Start()
+	m.Run(int64(600 * time.Millisecond))
+	return m, g.Steals()
+}
+
+// uleHotplugCrossSocket runs an oversubscribed app under the ULE
+// balancer while cores go offline and come back, and reports the
+// injected unplugs.
+func uleHotplugCrossSocket(shards int) (*sim.Machine, int) {
+	m := sim.New(topo.Tigerton(), shardCfg(29, shards, false))
+	m.AddActor(ule.Default())
+	in := perturb.New(perturb.Config{Hotplug: perturb.HotplugConfig{
+		Interval: 40 * time.Millisecond, OffTime: 25 * time.Millisecond,
+		Jitter: 0.5, MaxOffline: 2,
+	}})
+	m.AddActor(in)
+	app := spmd.Build(m, spmd.Spec{
+		Name: "a", Threads: 20, Iterations: 40,
+		WorkPerIteration: float64(15 * time.Millisecond),
+		WorkJitter:       0.4,
+		Model:            spmd.OpenMPDefault(),
+	})
+	app.Start()
+	m.Run(int64(2 * time.Second))
+	return m, in.Hotplugs
 }
 
 // TestParallelWindowInvariance proves the headline property: with a

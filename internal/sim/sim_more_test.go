@@ -83,7 +83,8 @@ func TestWorkCounterExcludesSpin(t *testing.T) {
 }
 
 // Poll-sleep waiters back off exponentially: the number of sleep/wake
-// cycles over a long wait is far below wait/PollInterval.
+// cycles over a long wait is far below wait/50 µs (the initial poll
+// interval).
 func TestPollBackoff(t *testing.T) {
 	m := newSMP(t, 2, 1)
 	app := spmd.Build(m, spmd.Spec{

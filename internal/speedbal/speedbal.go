@@ -864,7 +864,7 @@ func (b *Balancer) smtFactor(coreID int) float64 {
 	}
 	for _, s := range info.SMTSiblings.Cores() {
 		if s != coreID && !b.m.Cores[s].Idle() {
-			return b.m.Config().SMTContentionFactor
+			return sim.SMTContention
 		}
 	}
 	return 1

@@ -180,7 +180,7 @@ type Exec struct {
 	// or sleeps, respectively.
 	CheckLeft time.Duration
 	// PollBackoff is the current usleep length of a poll wait (doubles
-	// per unsuccessful check up to the machine's PollMax).
+	// per unsuccessful check up to the simulator's 2 ms cap).
 	PollBackoff time.Duration
 	// Released is set by the machine when Cond has been satisfied; the
 	// task completes the wait the next time it checks.
