@@ -8,7 +8,7 @@
 //	          [-ledger lint-budget.txt] packages...
 //	lbos-lint -write-ledger lint-budget.txt ./...
 //
-// It runs seven analyzers (see each package's doc for the full rules):
+// It runs six analyzers (see each package's doc for the full rules):
 //
 //	nodeterm    wall-clock reads, global math/rand, nondeterministically
 //	            seeded sources, selects that race
@@ -16,9 +16,6 @@
 //	slotsafety  Runner cell functions and go-launched worker goroutines
 //	            that capture loop variables or mutate shared state
 //	            outside their own slot
-//	eventown    pooled event handles tracked through branches and loops:
-//	            use-after-Release, double Release, Schedule on released,
-//	            release on only some exit paths
 //	windowsafe  machine-global calls, tracer/metrics emission, and
 //	            global writes on any path reachable from a go-launched
 //	            worker literal (package-local call graph)
@@ -61,7 +58,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/allowdoc"
-	"repro/internal/analysis/eventown"
 	"repro/internal/analysis/maporder"
 	"repro/internal/analysis/nodeterm"
 	"repro/internal/analysis/slotsafety"
@@ -71,8 +67,7 @@ import (
 
 var all = []*analysis.Analyzer{
 	nodeterm.Analyzer, maporder.Analyzer, slotsafety.Analyzer,
-	eventown.Analyzer, windowsafe.Analyzer, timeunits.Analyzer,
-	allowdoc.Analyzer,
+	windowsafe.Analyzer, timeunits.Analyzer, allowdoc.Analyzer,
 }
 
 // finding is one diagnostic in the JSON report schema.

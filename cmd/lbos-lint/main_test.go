@@ -9,7 +9,7 @@ import (
 )
 
 func TestLedgerRoundTrip(t *testing.T) {
-	counts := map[string]int{"eventown": 2, "wallclock": 1}
+	counts := map[string]int{"timeunits": 2, "wallclock": 1}
 	path := filepath.Join(t.TempDir(), "budget.txt")
 	if err := os.WriteFile(path, []byte(formatLedger(counts)), 0o644); err != nil {
 		t.Fatal(err)
@@ -21,23 +21,23 @@ func TestLedgerRoundTrip(t *testing.T) {
 
 func TestLedgerCatchesDrift(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "budget.txt")
-	if err := os.WriteFile(path, []byte(formatLedger(map[string]int{"eventown": 1})), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(formatLedger(map[string]int{"windowsafe": 1})), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if checkLedger(path, map[string]int{"eventown": 2}) {
+	if checkLedger(path, map[string]int{"windowsafe": 2}) {
 		t.Error("a new suppression must fail the gate")
 	}
 	if checkLedger(path, map[string]int{}) {
 		t.Error("a stale budget line must fail the gate")
 	}
-	if checkLedger(path, map[string]int{"eventown": 1, "timeunits": 1}) {
+	if checkLedger(path, map[string]int{"windowsafe": 1, "timeunits": 1}) {
 		t.Error("a suppression in an unbudgeted category must fail the gate")
 	}
 }
 
 func TestLedgerRejectsMalformed(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "budget.txt")
-	if err := os.WriteFile(path, []byte("eventown\n"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("windowsafe\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if checkLedger(path, map[string]int{}) {

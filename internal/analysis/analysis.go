@@ -116,7 +116,7 @@ func Run(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *typ
 // naming anything else is itself a finding.
 var Categories = []string{
 	"wallclock", "rand", "select", "maporder", "slotsafety",
-	"machineglobal", "windowsafe", "eventown", "timeunits", "allowdoc",
+	"machineglobal", "windowsafe", "timeunits", "allowdoc",
 }
 
 // KnownCategory reports whether cat is in the canonical vocabulary.
@@ -176,7 +176,7 @@ func Directives(files []*ast.File) []Directive {
 
 // RecvTypeName resolves the name of the named receiver type of a method
 // call selector, or "" when sel is not a method selection. Pointerness
-// is stripped: (*Queue).Release and Queue.Release both report "Queue".
+// is stripped: (*Queue).Schedule and Queue.Schedule both report "Queue".
 // Matching receivers by name rather than by package identity keeps the
 // analyzers portable across test doubles and corpora, the same
 // convention slotsafety established for Runner.

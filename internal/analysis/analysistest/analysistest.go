@@ -12,12 +12,12 @@
 // diagnostic message; several strings on one line expect several
 // diagnostics. An expectation may pin the suppression category too:
 //
-//	q.Release(e) // want eventown:"released on another path"
+//	m.Stop() // want machineglobal:"event-loop-only operation"
 //
-// matches only a diagnostic whose category is eventown, so corpora for
-// analyzers that report under several categories (windowsafe emits both
-// machineglobal and windowsafe) assert the category routing, not just
-// the message. Lines without a want comment must stay silent, so the
+// matches only a diagnostic whose category is machineglobal, so
+// corpora for analyzers that report under several categories
+// (windowsafe emits both machineglobal and windowsafe) assert the
+// category routing, not just the message. Lines without a want comment must stay silent, so the
 // same corpus pins both positives and false-positive guards. Findings
 // suppressed by //lint:allow-* directives never reach matching —
 // a directive line with no want comment asserts the escape hatch works.

@@ -1,11 +1,11 @@
 // Package ctrlflow builds intraprocedural control-flow graphs over the
 // AST and solves forward dataflow problems on them. It is the engine
-// under the flow-sensitive analyzers (eventown, timeunits, windowsafe):
-// where the original lbos-lint checks match one statement at a time,
-// these need to know what *must* or *may* have happened on every path
-// reaching a statement — a pooled event handle released on one branch
-// but used after the join, a duration-typed value laundered through a
-// local before being passed as an absolute time.
+// under the flow-sensitive timeunits analyzer: where the original
+// lbos-lint checks match one statement at a time, timeunits needs to
+// know what *must* or *may* have happened on every path reaching a
+// statement — a wall-clock reading assigned on one branch and passed as
+// a simulated time after the join, a duration-typed value laundered
+// through a local before being passed as an absolute time.
 //
 // The package is stdlib-only and deliberately mirrors the shape of
 // golang.org/x/tools/go/cfg plus a small generic worklist solver, so the

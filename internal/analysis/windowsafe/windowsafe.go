@@ -17,11 +17,11 @@
 // which keeps the check honest about what it can see). In the literal
 // and every reachable function it flags:
 //
-//   - machine-global Machine operations (Stop, Sync, SyncCores, NewTask,
-//     Start, StartOn, SetCoreOnline, SetCoreFreq, SetCoreStolen, RNG,
-//     AddActor, SetPlacer, BlockWindows, Run, RunFor, Migrate,
-//     MigrateNow): event-loop-only calls whose order must not depend on
-//     goroutine scheduling — category machineglobal, the same directive
+//   - machine-global Machine operations (Stop, Sync, NewTask, Start,
+//     StartOn, SetCoreOnline, SetCoreFreq, SetCoreStolen, RNG, AddActor,
+//     SetPlacer, BlockWindows, Run, RunFor, Migrate, MigrateNow):
+//     event-loop-only calls whose order must not depend on goroutine
+//     scheduling — category machineglobal, the same directive
 //     vocabulary the nodeterm check used;
 //   - tracer/metrics emission (Machine.Emit, Ring.Emit, Counter.Inc/Add,
 //     Gauge.Set, Histogram.Observe, Registry.Counter/Gauge/Histogram —
@@ -66,7 +66,7 @@ var Analyzer = &analysis.Analyzer{
 // each either panics behind a window tripwire or mutates machine-wide
 // state whose update order must not depend on goroutine scheduling.
 var machineGlobal = map[string]bool{
-	"Stop": true, "Sync": true, "SyncCores": true, "NewTask": true,
+	"Stop": true, "Sync": true, "NewTask": true,
 	"Start": true, "StartOn": true, "SetCoreOnline": true,
 	"SetCoreFreq": true, "SetCoreStolen": true, "RNG": true,
 	"AddActor": true, "SetPlacer": true, "BlockWindows": true,

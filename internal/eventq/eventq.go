@@ -7,19 +7,14 @@
 // without it, heap sibling order would decide whether, say, a balancer
 // fires before or after a barrier release at the same nanosecond.
 //
-// The queue is the simulator's hottest allocation site, so it supports two
-// allocation-lean usage patterns on top of the classic Push/Pop:
-//
-//   - Caller-owned events (NewEvent + Schedule): a periodic timer — a
-//     core's stop event, a balancer wake — allocates its Event and its
-//     callback once and reschedules the same handle forever. Schedule
-//     moves a still-pending event inside the heap without re-allocating,
-//     assigning a fresh sequence number so same-time ordering follows the
-//     scheduling order exactly as a remove+push would.
-//   - Pooled events (PushPooled + Release): fire-and-forget timers whose
-//     handle the caller discards draw their Event from a free list; the
-//     event-loop owner returns them with Release after they fire. Handles
-//     to pooled events must not be retained — the struct is reused.
+// The queue is the simulator's hottest allocation site, so it supports an
+// allocation-lean usage pattern on top of the classic Push/Pop:
+// caller-owned events (NewEvent + Schedule). A periodic timer — a core's
+// stop event, a balancer wake — allocates its Event and its callback
+// once and reschedules the same handle forever. Schedule moves a
+// still-pending event inside the heap without re-allocating, assigning a
+// fresh sequence number so same-time ordering follows the scheduling
+// order exactly as a remove+push would.
 package eventq
 
 // Time is an absolute simulation time in nanoseconds since the start of
@@ -33,9 +28,8 @@ type Event struct {
 	At   Time
 	Fire func(now Time)
 
-	seq    uint64
-	index  int // heap index, -1 when not queued
-	pooled bool
+	seq   uint64
+	index int // heap index, -1 when not queued
 	// shard is the index of the Sharded sub-queue holding (or last
 	// holding) the event; 0 for events in a plain Queue.
 	shard int32
@@ -56,7 +50,6 @@ func (e *Event) Queued() bool { return e.index >= 0 }
 type Queue struct {
 	heap []*Event
 	seq  uint64
-	free []*Event
 }
 
 // Len returns the number of pending events.
@@ -69,36 +62,6 @@ func (q *Queue) Push(at Time, fn func(now Time)) *Event {
 	e := &Event{At: at, Fire: fn}
 	q.push(e)
 	return e
-}
-
-// PushPooled schedules fn like Push but draws the Event from the queue's
-// free list. The caller must not retain the returned handle past the
-// event's firing: after the event-loop owner calls Release the struct is
-// recycled for an unrelated timer. Use for fire-and-forget timers only.
-func (q *Queue) PushPooled(at Time, fn func(now Time)) *Event {
-	var e *Event
-	if n := len(q.free); n > 0 {
-		e = q.free[n-1]
-		q.free[n-1] = nil
-		q.free = q.free[:n-1]
-		e.At = at
-		e.Fire = fn
-	} else {
-		e = &Event{At: at, Fire: fn, pooled: true}
-	}
-	q.push(e)
-	return e
-}
-
-// Release returns a fired pooled event to the free list. It is a no-op
-// for non-pooled or still-queued events, so the event-loop owner may call
-// it unconditionally on whatever Pop returned after firing it.
-func (q *Queue) Release(e *Event) {
-	if !e.pooled || e.index >= 0 {
-		return
-	}
-	e.Fire = nil // drop the closure so its captures can be collected
-	q.free = append(q.free, e)
 }
 
 // Schedule inserts a caller-owned event at time at, or — if the event is
@@ -169,10 +132,6 @@ func (q *Queue) Remove(e *Event) bool {
 		q.up(i)
 	}
 	e.index = -1
-	if e.pooled {
-		e.Fire = nil
-		q.free = append(q.free, e)
-	}
 	return true
 }
 

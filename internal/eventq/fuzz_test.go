@@ -9,7 +9,7 @@ import (
 // trivially-correct model, and fail on the first observable divergence.
 // They are the adversarial complement of the unit tests: the corpus
 // under testdata/fuzz/ pins the interleavings that matter (same-time
-// pushes, reschedule of a pending event, pooled release/reuse,
+// pushes, reschedule of a pending event, fire-and-forget pushes,
 // cross-shard moves, window entry on timestamp ties), and fuzzing mines
 // for new ones. CI runs each target briefly (-fuzztime) on every push.
 
@@ -53,15 +53,14 @@ func (r *refModel) min() int {
 }
 
 // FuzzEventQueue drives a single Queue through arbitrary
-// push/pop/reschedule/remove/release interleavings against the
-// reference model: every Pop and Peek must return exactly the event the
-// model predicts, including sequence-stable ordering of same-time
-// events and reuse of pooled events after Release.
+// push/pop/reschedule/remove interleavings against the reference model:
+// every Pop and Peek must return exactly the event the model predicts,
+// including sequence-stable ordering of same-time events.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{})
 	// Same-time pushes must pop in push order.
 	f.Add([]byte{0, 5, 0, 0, 5, 0, 0, 5, 0, 2, 0, 0, 2, 0, 0, 2, 0, 0})
-	// Pooled push, pop+release, pooled push reusing the freed event.
+	// Fire-and-forget push, pop, another fire-and-forget push.
 	f.Add([]byte{1, 3, 0, 2, 0, 0, 1, 3, 0, 2, 0, 0})
 	// Reschedule a pending event behind a same-time rival.
 	f.Add([]byte{0, 9, 0, 0, 9, 0, 3, 0, 9, 2, 0, 0, 2, 0, 0})
@@ -94,7 +93,6 @@ func FuzzEventQueue(f *testing.F) {
 			}
 			model.remove(got)
 			delete(idOf, e)
-			q.Release(e) // no-op for owned events, recycles pooled ones
 		}
 
 		for i := 0; i+2 < len(script); i += 3 {
@@ -107,8 +105,8 @@ func FuzzEventQueue(f *testing.F) {
 				owned = append(owned, e)
 				model.push(nextID, at)
 				nextID++
-			case 1: // pooled push (handle not retained past firing)
-				e := q.PushPooled(at, func(Time) {})
+			case 1: // fire-and-forget push (handle never rescheduled)
+				e := q.Push(at, func(Time) {})
 				idOf[e] = nextID
 				model.push(nextID, at)
 				nextID++
@@ -185,7 +183,7 @@ func FuzzShardMerge(f *testing.F) {
 	f.Add(byte(3), []byte{0, 0, 9, 3, 0, 70, 2, 0, 0})
 	// Global (control) events interleaved with shard events.
 	f.Add(byte(2), []byte{0, 2, 5, 0, 0, 5, 2, 0, 0, 2, 0, 0})
-	// Pooled events across shards with release/reuse.
+	// Fire-and-forget events across shards.
 	f.Add(byte(4), []byte{1, 0, 3, 1, 1, 3, 2, 0, 0, 1, 2, 3, 2, 0, 0, 2, 0, 0})
 
 	f.Fuzz(func(t *testing.T, shardsByte byte, script []byte) {
@@ -221,8 +219,6 @@ func FuzzShardMerge(f *testing.F) {
 				t.Fatalf("event %d times disagree: %d vs %d", p.id, se.At, oe.At)
 			}
 			delete(idOfS, se)
-			s.Release(se)
-			oracle.Release(oe)
 		}
 
 		for i := 0; i+2 < len(script); i += 3 {
@@ -237,10 +233,10 @@ func FuzzShardMerge(f *testing.F) {
 				idOfS[p.se] = p
 				owned = append(owned, p)
 				nextID++
-			case 1: // pooled push
+			case 1: // fire-and-forget push (handle never rescheduled)
 				p := &pair{id: nextID}
-				p.se = s.PushPooled(sh, at, func(Time) {})
-				p.oe = oracle.PushPooled(at, func(Time) {})
+				p.se = s.Push(sh, at, func(Time) {})
+				p.oe = oracle.Push(at, func(Time) {})
 				idOfS[p.se] = p
 				nextID++
 			case 2:
@@ -251,7 +247,7 @@ func FuzzShardMerge(f *testing.F) {
 				}
 				p := owned[int(a)%len(owned)]
 				if !p.se.Queued() {
-					continue // fired handles of pooled pairs are recycled
+					continue // re-inserting fired handles is FuzzEventQueue's job
 				}
 				newShard := shardOf(b >> 4)
 				s.Schedule(p.se, newShard, at)
@@ -299,9 +295,8 @@ func FuzzShardMerge(f *testing.F) {
 					// legal (once, so the drain terminates: the re-pushed
 					// event may itself be popped and is not re-pushed again).
 					repushed = true
-					s.PushPooled(sh, e.At+1, func(Time) {})
+					s.Push(sh, e.At+1, func(Time) {})
 				}
-				s.ShardRelease(e)
 			}
 			if h := s.ShardPeek(sh); h != nil && h.At < horizon {
 				t.Fatalf("shard %d still holds pre-horizon event at %d after drain", sh, h.At)

@@ -75,17 +75,6 @@ func (s *Sharded) Push(shard int, at Time, fn func(now Time)) *Event {
 	return e
 }
 
-// PushPooled schedules a fire-and-forget event on the given sub-queue,
-// drawing the Event from that sub-queue's free list. As with
-// Queue.PushPooled, the handle must not be retained after firing.
-func (s *Sharded) PushPooled(shard int, at Time, fn func(now Time)) *Event {
-	q := s.checkout(shard)
-	e := q.PushPooled(at, fn)
-	e.shard = int32(shard)
-	s.checkin(shard)
-	return e
-}
-
 // Schedule inserts or moves a caller-owned event to time at on the given
 // sub-queue. An event still pending on a different sub-queue is removed
 // there first, so one reusable timer may follow its task across shards.
@@ -107,9 +96,6 @@ func (s *Sharded) Remove(e *Event) bool {
 	}
 	return s.qs[e.shard].Remove(e)
 }
-
-// Release returns a fired pooled event to its sub-queue's free list.
-func (s *Sharded) Release(e *Event) { s.qs[e.shard].Release(e) }
 
 // Peek returns the globally earliest event by (time, seq, shard), or nil.
 func (s *Sharded) Peek() *Event {
@@ -206,8 +192,3 @@ func (s *Sharded) ShardPopBefore(shard int, horizon Time) *Event {
 	}
 	return q.Pop()
 }
-
-// ShardRelease returns a fired pooled event to its own sub-queue's free
-// list; safe for concurrent use by distinct shard workers because an
-// event popped by worker i always belongs to sub-queue i.
-func (s *Sharded) ShardRelease(e *Event) { s.qs[e.shard].Release(e) }

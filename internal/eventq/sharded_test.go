@@ -44,12 +44,12 @@ func mirror(t *testing.T, seed int64, shards, ops int) (single, sharded []popRec
 			p.sh = s.Push(shard, at, record(&sharded, name))
 			live = append(live, p)
 			id++
-		case k < 5: // PushPooled (fire-and-forget; no handle kept)
+		case k < 5: // Push, fire-and-forget (no handle kept)
 			at := now + Time(rng.Intn(50))
-			name := fmt.Sprintf("pool%d", id)
+			name := fmt.Sprintf("forget%d", id)
 			shard := id % shards
-			q.PushPooled(at, record(&single, name))
-			s.PushPooled(shard, at, record(&sharded, name))
+			q.Push(at, record(&single, name))
+			s.Push(shard, at, record(&sharded, name))
 			id++
 		case k < 7 && len(live) > 0: // Schedule (move or re-insert)
 			p := live[rng.Intn(len(live))]
@@ -79,8 +79,6 @@ func mirror(t *testing.T, seed int64, shards, ops int) (single, sharded []popRec
 				}
 				e1.Fire(e1.At)
 				e2.Fire(e2.At)
-				q.Release(e1)
-				s.Release(e2)
 			}
 		}
 		if q.Len() != s.Len() {
@@ -98,15 +96,13 @@ func mirror(t *testing.T, seed int64, shards, ops int) (single, sharded []popRec
 		}
 		e1.Fire(e1.At)
 		e2.Fire(e2.At)
-		q.Release(e1)
-		s.Release(e2)
 	}
 	return single, sharded
 }
 
 // TestShardedMatchesSingleQueue is the core determinism property of the
 // sharded engine: for any shard count and any interleaving of Push,
-// PushPooled, Schedule, Remove and Pop, the sharded queue pops events in
+// Schedule, Remove and Pop, the sharded queue pops events in
 // exactly the order a single queue does.
 func TestShardedMatchesSingleQueue(t *testing.T) {
 	for _, shards := range []int{1, 2, 4, 7, 16} {
@@ -188,9 +184,9 @@ func TestShardedWindow(t *testing.T) {
 	s.BeginWindow()
 	// Each shard schedules its own work; same-time cross-shard order is
 	// decided by shard index.
-	s.PushPooled(1, 10, rec("b"))
-	s.PushPooled(0, 10, rec("a"))
-	s.PushPooled(0, 20, rec("c"))
+	s.Push(1, 10, rec("b"))
+	s.Push(0, 10, rec("a"))
+	s.Push(0, 20, rec("c"))
 	horizon := s.PeekGlobal().At
 	for shard := 0; shard < s.Shards(); shard++ {
 		for {
@@ -199,7 +195,6 @@ func TestShardedWindow(t *testing.T) {
 				break
 			}
 			e.Fire(e.At)
-			s.ShardRelease(e)
 		}
 	}
 	s.EndWindow()
@@ -217,14 +212,13 @@ func TestShardedWindow(t *testing.T) {
 	}
 
 	// After the window, sequencing resumes globally and deterministically.
-	s.PushPooled(0, 50, rec("d"))
+	s.Push(0, 50, rec("d"))
 	for {
 		e := s.Pop()
 		if e == nil {
 			break
 		}
 		e.Fire(e.At)
-		s.Release(e)
 	}
 	if log[len(log)-2].name != "d" || log[len(log)-1].name != "horizon" {
 		t.Fatalf("tail of log = %v", log[len(log)-2:])

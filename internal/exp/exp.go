@@ -96,16 +96,6 @@ func CheckDials(reps, scale, parallel int) error {
 	return nil
 }
 
-// DefaultContext returns paper-scale settings: 10 repetitions, scale 1.
-func DefaultContext() *Context {
-	return &Context{Reps: 10, Scale: 1, Seed: 20100109} // PPoPP'10 date
-}
-
-// QuickContext returns a scaled-down context for tests and benches.
-func QuickContext() *Context {
-	return &Context{Reps: 3, Scale: 8, Seed: 20100109}
-}
-
 // Logf writes a progress line. It is safe for concurrent use: lines
 // from parallel cells are serialised, never interleaved.
 func (c *Context) Logf(format string, args ...any) {

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/cpuset"
 	"repro/internal/npb"
@@ -91,10 +90,4 @@ func orDash(v float64) string {
 		return "-"
 	}
 	return fmt.Sprintf("%.4g", v)
-}
-
-// predictedTable2 is used by tests: the closed-form inter-barrier
-// prediction for the Tigerton capacity.
-func predictedTable2(b npb.Benchmark) time.Duration {
-	return b.InterBarrierTime(1.0)
 }

@@ -507,7 +507,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var br batchRequest
-	if err := json.Unmarshal(data, &br); err != nil {
+	if err := decodeStrict(data, &br); err != nil {
 		s.writeError(w, http.StatusBadRequest, "invalid batch: %v", err)
 		return
 	}

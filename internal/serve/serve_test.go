@@ -300,6 +300,26 @@ func TestBatchSubmission(t *testing.T) {
 	}
 }
 
+// The batch envelope decodes as strictly as a spec: a misspelt field
+// is a 400, not a silently ignored key.
+func TestBatchRejectsUnknownFields(t *testing.T) {
+	s := New(Config{Workers: 1, Version: "test"})
+	s.executor = stubExecutor(nil, nil)
+	defer s.Drain()
+	w := doReq(t, s.Handler(), "POST", "/v1/batches",
+		`{"specs":[{"experiment":"fig1","reps":1,"scale":64}],"spec":[1]}`)
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("batch with unknown field: %d %s, want 400", w.Code, w.Body.String())
+	}
+	var e errorDoc
+	if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil {
+		t.Fatalf("error body %q: %v", w.Body.String(), err)
+	}
+	if want := `invalid batch: json: unknown field "spec"`; e.Error != want {
+		t.Errorf("error %q, want %q", e.Error, want)
+	}
+}
+
 // Result formats: the JSON document renders as text tables and CSV,
 // and the trace endpoint serves the Chrome stream when requested.
 func TestResultFormatsAndTrace(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"runtime/debug"
@@ -68,18 +69,26 @@ const MaxReps = 100
 // ParseSpec decodes a wire spec strictly: unknown fields are errors, so
 // a typo'd knob fails loudly instead of silently running the default.
 func ParseSpec(data []byte) (Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	if err := decodeStrict(data, &s); err != nil {
 		return Spec{}, fmt.Errorf("serve: invalid spec: %w", err)
 	}
-	// Anything but whitespace after the document is also a client
-	// error, stray closing brackets included.
-	if _, err := dec.Token(); err != io.EOF {
-		return Spec{}, fmt.Errorf("serve: invalid spec: trailing data after JSON document")
-	}
 	return s, nil
+}
+
+// decodeStrict decodes exactly one JSON document into v. Unknown fields
+// are errors, and so is anything but whitespace after the document,
+// stray closing brackets included.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after JSON document")
+	}
+	return nil
 }
 
 // Canonicalize validates the spec and fills defaults, returning the

@@ -403,33 +403,12 @@ func (m *Machine) Tasks() []*task.Task { return m.tasks }
 // At schedules fn to run at absolute time at (clamped to now). The event
 // lands on the global control queue: it may touch any shard, so it is a
 // synchronization horizon for parallel windows. Core-confined callbacks
-// should prefer AtOn.
+// should prefer a NewCoreTimer.
 func (m *Machine) At(at int64, fn func(now int64)) *eventq.Event {
 	if at < m.now {
 		at = m.now
 	}
 	return m.events.Push(m.events.Global(), at, fn)
-}
-
-// AtOn schedules fn at absolute time at (clamped to the core's clock) on
-// the core's shard queue. The callback must confine itself to that
-// core's shard; in exchange it does not bound conservative lookahead,
-// so shards keep advancing in parallel across it.
-func (m *Machine) AtOn(core int, at int64, fn func(now int64)) *eventq.Event {
-	if now := m.clock(core); at < now {
-		at = now
-	}
-	return m.events.Push(int(m.shardOf[core]), at, fn)
-}
-
-// atPooled schedules a fire-and-forget callback whose handle is
-// discarded; the event struct comes from (and returns to) the queue's
-// free list, so steady-state timer churn allocates only fn's closure.
-func (m *Machine) atPooled(at int64, fn func(now int64)) {
-	if at < m.now {
-		at = m.now
-	}
-	m.events.PushPooled(m.events.Global(), at, fn)
 }
 
 // After schedules fn to run d from now.
@@ -1132,24 +1111,14 @@ func (m *Machine) rearmShared(c *Core) {
 // Sync settles in-progress accounting on every core so task ExecTime
 // values are exact as of Now. Balancers call this before sampling speeds.
 // Machine-wide settlement can only run from a global event; a
-// shard-confined balancer uses SyncCores on its own cores instead.
+// shard-confined balancer settles its own cores with Core.Sync instead.
 func (m *Machine) Sync() {
 	if m.window {
-		panic("sim: machine-wide Sync inside a parallel shard window; use SyncCores")
+		panic("sim: machine-wide Sync inside a parallel shard window; use Core.Sync")
 	}
 	for _, c := range m.Cores {
 		c.account()
 	}
-}
-
-// SyncCores settles in-progress accounting on the given cores only, so a
-// balancer confined to one shard can sample exact ExecTime values from
-// inside a parallel window without touching other shards.
-func (m *Machine) SyncCores(set cpuset.Set) {
-	set.ForEach(func(id int) bool {
-		m.Cores[id].account()
-		return true
-	})
 }
 
 // Stop ends the run after the current event. It is a machine-wide
@@ -1193,9 +1162,6 @@ func (m *Machine) Run(until int64) int64 {
 		}
 		m.Stats.Events++
 		e.Fire(e.At)
-		// Pooled fire-and-forget events go back to the free list; Release
-		// is a no-op for caller-owned or re-scheduled events.
-		m.events.Release(e)
 	}
 	if m.now < until && !m.stopped {
 		m.now = until
@@ -1329,7 +1295,6 @@ func (m *Machine) drainShard(s int, horizon int64) {
 		}
 		sh.stats.Events++
 		e.Fire(e.At)
-		m.events.ShardRelease(e)
 	}
 }
 

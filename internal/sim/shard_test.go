@@ -370,12 +370,12 @@ func TestWindowTripwires(t *testing.T) {
 		m.StartOn(tk, 2*s)
 	}
 	var recovered any
-	// AtOn events are shard-local, so this callback fires inside the
+	// Core timers are shard-local, so this callback fires inside the
 	// window; Sync is machine-wide and must trip.
-	m.AtOn(0, int64(time.Millisecond), func(now int64) {
+	m.NewCoreTimer(0, func(now int64) {
 		defer func() { recovered = recover() }()
 		m.Sync()
-	})
+	}).ScheduleAfter(time.Millisecond)
 	m.Run(int64(5 * time.Millisecond))
 	if m.Windows() == 0 {
 		t.Fatal("no window opened; tripwire not exercised")

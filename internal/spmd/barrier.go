@@ -98,39 +98,3 @@ func (b *Barrier) Waiting() int { return len(b.waiters) }
 
 // Gen returns the current generation (completed episodes).
 func (b *Barrier) Gen() int { return b.gen }
-
-// Counter is a simple countdown condition: satisfied for everyone after
-// Arrive has been called n times. Unlike Barrier it is not generational;
-// it models one-shot events such as "all workers initialised".
-type Counter struct {
-	remaining int
-	done      bool
-	waiters   []*task.Task
-}
-
-// NewCounter returns a countdown condition for n arrivals.
-func NewCounter(n int) *Counter {
-	if n < 1 {
-		panic(fmt.Sprintf("spmd: counter size %d", n))
-	}
-	return &Counter{remaining: n}
-}
-
-// Arrive implements task.Cond.
-func (c *Counter) Arrive(t *task.Task, w task.Waker) bool {
-	if c.done {
-		return true
-	}
-	c.remaining--
-	if c.remaining <= 0 {
-		c.done = true
-		ws := c.waiters
-		c.waiters = nil
-		for _, wt := range ws {
-			w.Release(wt)
-		}
-		return true
-	}
-	c.waiters = append(c.waiters, t)
-	return false
-}

@@ -89,37 +89,6 @@ func TestSpinThenBlockStopsBurning(t *testing.T) {
 	}
 }
 
-// Counter is one-shot: satisfied forever after n arrivals.
-func TestCounter(t *testing.T) {
-	m := newSMP(1, 1)
-	c := spmd.NewCounter(2)
-	done := 0
-	mk := func(name string) *task.Task {
-		prog := &task.Seq{Actions: []task.Action{
-			task.Compute(1e6),
-			task.WaitFor(c, task.WaitBlock, 0),
-			task.Compute(1e6),
-		}}
-		tk := m.NewTask(name, prog)
-		return tk
-	}
-	a, b := mk("a"), mk("b")
-	m.OnTaskDone(func(*task.Task) { done++ })
-	m.Start(a)
-	m.Start(b)
-	m.Run(int64(time.Second))
-	if done != 2 {
-		t.Fatalf("done = %d, want 2", done)
-	}
-	// Late arrivals pass immediately.
-	late := mk("late")
-	m.Start(late)
-	m.Run(int64(2 * time.Second))
-	if late.State != task.Done {
-		t.Error("late arriver blocked on satisfied counter")
-	}
-}
-
 // Speedup accounting: a perfectly parallel app on n cores has speedup n.
 func TestSpeedupAccounting(t *testing.T) {
 	m := newSMP(4, 2)

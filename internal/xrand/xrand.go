@@ -129,42 +129,6 @@ func (r *RNG) Exponential(rate float64) float64 {
 	return -math.Log(1-r.Float64()) / rate
 }
 
-// Poisson returns a Poisson-distributed count with the given mean, via
-// the inverse CDF: one uniform draw located in the cumulative
-// distribution by summing pmf terms (p_{k+1} = p_k·mean/(k+1)). Like
-// Exponential it consumes exactly one uniform per variate. For means
-// large enough that exp(−mean) underflows (≳700) it falls back to a
-// rounded normal approximation, which stays deterministic (Sqrt and Log
-// are correctly rounded / tightly specified). Non-positive means
-// return 0.
-func (r *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	p := math.Exp(-mean)
-	if p <= 0 {
-		// Underflow regime: N(mean, mean) rounded and clamped at zero.
-		n := mean + math.Sqrt(mean)*r.NormFloat64()
-		if n < 0 {
-			return 0
-		}
-		return int(n + 0.5)
-	}
-	u := r.Float64()
-	k, cdf := 0, p
-	for u > cdf {
-		k++
-		p *= mean / float64(k)
-		cdf += p
-		if p <= 0 {
-			// The tail has underflown; u can no longer be reached by
-			// summing, so stop at the last representable term.
-			break
-		}
-	}
-	return k
-}
-
 // NormFloat64 returns a normally distributed float64 with mean 0 and
 // standard deviation 1, using the polar (Marsaglia) method. Used to model
 // measurement noise in thread-speed samples (the paper notes taskstats

@@ -68,8 +68,8 @@ type (
 	Model = spmd.Model
 	// Benchmark is a calibrated NAS-like benchmark model.
 	Benchmark = npb.Benchmark
-	// SpeedConfig tunes the speed balancer (zero value = the paper's
-	// parameters).
+	// SpeedConfig tunes the speed balancer (System.SpeedBalance runs
+	// the zero value as the paper's parameters).
 	SpeedConfig = speedbal.Config
 	// SpeedBalancer is the paper's user-level balancer.
 	SpeedBalancer = speedbal.Balancer
@@ -298,9 +298,15 @@ func (s *System) StartPinned(spec AppSpec) *App {
 
 // SpeedBalance launches the application under the paper's user-level
 // speed balancer: threads are pinned round-robin and then migrated to
-// equalise their speeds. A zero SpeedConfig uses the paper's parameters
-// (100 ms interval, T_s = 0.9, two-interval block, NUMA blocked).
+// equalise their speeds. A zero SpeedConfig uses the paper's parameters,
+// speedbal.DefaultConfig (100 ms interval with jitter, T_s = 0.9,
+// two-interval block, NUMA blocked, 1% sampling noise). A non-zero one
+// is taken as given, except that a zero Interval, Threshold,
+// PostMigrationBlock or AccountingGranularity gets the paper's value.
 func (s *System) SpeedBalance(app *App, cfg SpeedConfig) *SpeedBalancer {
+	if cfg == (SpeedConfig{}) {
+		cfg = speedbal.DefaultConfig()
+	}
 	b := speedbal.New(cfg)
 	b.Launch(s.m, app)
 	return b

@@ -1,8 +1,11 @@
 package lbos
 
 import (
+	"slices"
 	"testing"
 	"time"
+
+	"repro/internal/speedbal"
 )
 
 // The quickstart scenario: SPEED beats LOAD on an oversubscribed app.
@@ -30,6 +33,55 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 	if bal.Migrations == 0 {
 		t.Error("no migrations performed")
+	}
+}
+
+// A zero SpeedConfig is the paper's balancer. On NUMA Barcelona, three
+// UPC threads on cores 0 and 4 (different nodes) must run exactly as
+// under speedbal.DefaultConfig, which blocks cross-node pulls.
+func TestZeroSpeedConfigIsPaperDefault(t *testing.T) {
+	type outcome struct {
+		elapsed    time.Duration
+		migrations int
+		exec       []time.Duration
+		crossNode  int
+	}
+	run := func(cfg SpeedConfig) outcome {
+		sys := NewSystem(Barcelona(), WithSeed(1))
+		m := sys.Machine()
+		var o outcome
+		m.OnCoreChange(func(_ *Task, from, to int) {
+			if from >= 0 && m.Topo.Cores[from].Node != m.Topo.Cores[to].Node {
+				o.crossNode++
+			}
+		})
+		app := sys.BuildApp(AppSpec{
+			Name: "upc", Threads: 3, Iterations: 200,
+			WorkPerIteration: 5 * Millisecond,
+			Model:            UPC(),
+			Affinity:         CoreList(0, 4),
+		})
+		bal := sys.SpeedBalance(app, cfg)
+		sys.RunUntil(app)
+		if !app.Done() {
+			t.Fatal("app did not finish")
+		}
+		o.elapsed, o.migrations = app.Elapsed(), bal.Migrations
+		for _, tk := range app.Tasks {
+			o.exec = append(o.exec, tk.ExecTime)
+		}
+		return o
+	}
+	zero, paper := run(SpeedConfig{}), run(speedbal.DefaultConfig())
+	if zero.crossNode != 0 || paper.crossNode != 0 {
+		t.Errorf("cross-node pulls: zero config %d, DefaultConfig %d; want none", zero.crossNode, paper.crossNode)
+	}
+	if zero.elapsed != paper.elapsed || zero.migrations != paper.migrations {
+		t.Errorf("zero config: %v and %d migrations; DefaultConfig: %v and %d",
+			zero.elapsed, zero.migrations, paper.elapsed, paper.migrations)
+	}
+	if !slices.Equal(zero.exec, paper.exec) {
+		t.Errorf("per-thread exec times: zero config %v, DefaultConfig %v", zero.exec, paper.exec)
 	}
 }
 
