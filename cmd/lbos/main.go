@@ -6,17 +6,6 @@
 //
 //	lbos list                              # show available experiments
 //	lbos run [flags] <id>... | all         # run experiments
-//	lbos bench [flags]                     # run the performance suite
-//
-// Flags for bench:
-//
-//	-out FILE       write the report here (default: the next free
-//	                BENCH_<n>.json in the current directory)
-//	-baseline FILE  compare against this report and exit non-zero on
-//	                regression (default BENCH_baseline.json when present;
-//	                "" disables)
-//	-tol F          relative regression tolerance (default 0.15)
-//	-q              suppress per-case progress
 //
 // Flags for run:
 //
@@ -45,10 +34,12 @@
 //	-q           suppress progress logging
 //
 // run rejects -reps or -scale below 1 and -parallel below 0 with exit
-// status 2 before any experiment starts.
+// status 2 before any experiment starts, and exits 1 when a -csv file
+// cannot be written.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -61,7 +52,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/exp"
 	"repro/internal/metrics"
-	"repro/internal/perfbench"
 	"repro/internal/perturb"
 )
 
@@ -75,8 +65,6 @@ func main() {
 		list()
 	case "run":
 		os.Exit(run(os.Args[2:], os.Stdout, os.Stderr))
-	case "bench":
-		bench(os.Args[2:])
 	default:
 		usage(os.Stderr)
 		os.Exit(2)
@@ -84,100 +72,7 @@ func main() {
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintln(w, "usage: lbos list | lbos run [-reps N] [-scale K] [-seed S] [-parallel P] [-failfast] [-csv DIR] [-trace FILE] [-metrics] [-perturb LIST] [-predict] [-q] <id>...|all | lbos bench [-out FILE] [-baseline FILE] [-tol F] [-q]")
-}
-
-// bench runs the perfbench suite, writes BENCH_<n>.json and gates the
-// result against a baseline report when one is available.
-func bench(args []string) {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	out := fs.String("out", "", "report output path (default: next free BENCH_<n>.json)")
-	baseline := fs.String("baseline", "", "baseline report to gate against (default BENCH_baseline.json when present)")
-	tol := fs.Float64("tol", 0.15, "relative regression tolerance")
-	quiet := fs.Bool("q", false, "suppress per-case progress")
-	fs.Parse(args)
-	if fs.NArg() != 0 {
-		usage(os.Stderr)
-		os.Exit(2)
-	}
-
-	var log io.Writer
-	if !*quiet {
-		log = os.Stderr
-	}
-	report := perfbench.RunSuite(log)
-
-	// An explicit -baseline '' disables the gate (e.g. when refreshing
-	// the committed baseline); leaving the flag unset auto-detects it.
-	baselineSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "baseline" {
-			baselineSet = true
-		}
-	})
-	basePath := *baseline
-	if !baselineSet {
-		if _, err := os.Stat("BENCH_baseline.json"); err == nil {
-			basePath = "BENCH_baseline.json"
-		}
-	}
-	failed := false
-	if basePath != "" {
-		base, err := perfbench.Load(basePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		report.Comparison = perfbench.Compare(report, base, basePath, *tol)
-		for _, d := range report.Comparison.Deltas {
-			fmt.Fprintf(os.Stderr, "bench: %-8s vs %s:", d.Name, basePath)
-			if d.NsNormRatio > 0 {
-				fmt.Fprintf(os.Stderr, " ns %+.1f%%", (d.NsNormRatio-1)*100)
-			}
-			if d.AllocsRatio > 0 {
-				fmt.Fprintf(os.Stderr, " allocs %+.1f%%", (d.AllocsRatio-1)*100)
-			}
-			if d.EventsPerSecRatio > 0 {
-				fmt.Fprintf(os.Stderr, " events/s %+.1f%%", (d.EventsPerSecRatio-1)*100)
-			}
-			fmt.Fprintln(os.Stderr)
-		}
-		for _, msg := range report.Comparison.Regressions {
-			fmt.Fprintf(os.Stderr, "bench: REGRESSION: %s\n", msg)
-			failed = true
-		}
-	}
-
-	outPath := *out
-	if outPath == "" {
-		outPath = nextBenchFile()
-	}
-	f, err := os.Create(outPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := report.WriteJSON(f); err == nil {
-		err = f.Close()
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "bench: report written to %s\n", outPath)
-	if failed {
-		os.Exit(1)
-	}
-}
-
-// nextBenchFile returns the first BENCH_<n>.json that does not exist yet.
-func nextBenchFile() string {
-	for n := 0; ; n++ {
-		name := fmt.Sprintf("BENCH_%d.json", n)
-		if _, err := os.Stat(name); os.IsNotExist(err) {
-			return name
-		}
-	}
+	fmt.Fprintln(w, "usage: lbos list | lbos run [-reps N] [-scale K] [-seed S] [-parallel P] [-failfast] [-csv DIR] [-trace FILE] [-metrics] [-perturb LIST] [-predict] [-q] <id>...|all")
 }
 
 func list() {
@@ -288,7 +183,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			t.Render(stdout)
 			fmt.Fprintln(stdout)
 			if *csvDir != "" {
-				writeCSV(*csvDir, e.ID, ti, t)
+				if err := writeCSV(*csvDir, e.ID, ti, t); err != nil {
+					fmt.Fprintf(stderr, "lbos: %v\n", err)
+					return 1
+				}
 			}
 		}
 		fmt.Fprintf(stdout, "(%s completed in %v wall time)\n\n", e.ID, sw.Elapsed().Round(time.Millisecond))
@@ -296,20 +194,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func writeCSV(dir, id string, idx int, t *exp.Table) {
+// writeCSV writes table t of experiment id as one CSV file under dir.
+func writeCSV(dir, id string, idx int, t *exp.Table) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return
+		return err
 	}
+	var b bytes.Buffer
+	t.CSV(&b)
 	name := fmt.Sprintf("%s_%d_%s.csv", id, idx, slug(t.Title))
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return
-	}
-	defer f.Close()
-	var w io.Writer = f
-	t.CSV(w)
+	return os.WriteFile(filepath.Join(dir, name), b.Bytes(), 0o644)
 }
 
 func slug(s string) string {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -60,5 +62,33 @@ func TestRunSmallestValidDials(t *testing.T) {
 	}
 	if !strings.HasPrefix(out.String(), "### fig1 ") {
 		t.Errorf("stdout does not start with the fig1 header:\n%.200s", out.String())
+	}
+}
+
+// TestRunCSVFailureExitsOne: a -csv directory that cannot be created
+// ends the run with exit 1 and one stderr line; a writable one gets a
+// file per table.
+func TestRunCSVFailureExitsOne(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	args := []string{"-q", "-reps", "1", "-scale", "32", "-csv", filepath.Join(file, "sub"), "table1"}
+	if code := run(args, &out, &errb); code != 1 {
+		t.Errorf("unwritable -csv: exit %d, want 1", code)
+	}
+	if msg := errb.String(); strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "lbos: ") {
+		t.Errorf("unwritable -csv: stderr %q, want one lbos: line", msg)
+	}
+
+	csvDir := filepath.Join(dir, "csv")
+	args = []string{"-q", "-reps", "1", "-scale", "32", "-csv", csvDir, "table1"}
+	if code := run(args, &out, &errb); code != 0 {
+		t.Fatalf("writable -csv: exit %d, stderr %q", code, errb.String())
+	}
+	if files, _ := filepath.Glob(filepath.Join(csvDir, "table1_0_*.csv")); len(files) != 1 {
+		t.Errorf("writable -csv wrote %v, want one table1_0_*.csv", files)
 	}
 }

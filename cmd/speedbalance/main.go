@@ -102,6 +102,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		aff = cpuset.All(*cores)
 	}
 
+	// The paper's speedbalancer (§5.1–5.2) with the two flags applied:
+	// NUMA blocking, wake-up jitter and sample noise stay on.
+	scfg := speedbal.DefaultConfig()
+	scfg.Interval = time.Duration(*intervalMS) * time.Millisecond
+	scfg.Threshold = *threshold
 	o := exp.RunOpts{
 		Topo: tp,
 		Spec: spmd.Spec{
@@ -112,11 +117,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Model:            mdl,
 			Affinity:         aff,
 		},
-		Seed: *seed,
-		SpeedCfg: &speedbal.Config{
-			Interval:  time.Duration(*intervalMS) * time.Millisecond,
-			Threshold: *threshold,
-		},
+		Seed:     *seed,
+		SpeedCfg: &scfg,
 		Setup: func(m *sim.Machine) {
 			if *hog >= 0 {
 				competing.CPUHog(m, *hog)

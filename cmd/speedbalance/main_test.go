@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -59,7 +60,8 @@ func TestTimelineKeepsReport(t *testing.T) {
 
 // An ungrouped task (the cpu-hog) is drawn under its name, not as idle,
 // and utilisation is the core's exact busy share: core 1 ran make jobs
-// and app threads for 94% of the run, though every sample caught it busy.
+// and app threads for 93% of the run, though 37 of its 39 samples (95%)
+// caught it busy.
 func TestTimelineUngroupedTaskAndBusyShare(t *testing.T) {
 	out := runCmd(t, "-iters 10 -hog 3 -makej 4 -timeline")
 	if !strings.Contains(out, "  b=cpu-hog.3") {
@@ -71,11 +73,41 @@ func TestTimelineUngroupedTaskAndBusyShare(t *testing.T) {
 			row = strings.TrimPrefix(l, "core  3 ")
 		}
 	}
-	if len(row) != 40 || strings.Contains(row, ".") || strings.Count(row, "b") < 38 {
-		t.Errorf("core 3 row %q: want 40 busy columns, nearly all the hog's 'b'", row)
+	if len(row) != 39 || strings.Contains(row, ".") || strings.Count(row, "b") != 37 {
+		t.Errorf("core 3 row %q: want 39 busy columns, 37 of them the hog's 'b'", row)
 	}
-	if !strings.Contains(out, "core1   94%") || !strings.Contains(out, "core3  100%") {
+	if !strings.Contains(out, "core1   93%") || !strings.Contains(out, "core3  100%") {
 		t.Errorf("utilisation is not the busy share:\n%s", out)
+	}
+}
+
+// The command runs the paper's speedbalancer, whose NUMA blocking keeps
+// every Barcelona thread on the node of the core it was pinned to:
+// thread i starts on core i mod 8, and node = core/4.
+func TestSpeedRunKeepsNUMANodes(t *testing.T) {
+	out := runCmd(t, "-machine barcelona -cores 8 -threads 10 -iters 6 -model upc-sleep")
+	threads := 0
+	for _, l := range strings.Split(out, "\n") {
+		f := strings.Fields(l)
+		if len(f) != 5 || !strings.HasPrefix(f[0], "app.") {
+			continue
+		}
+		i, err := strconv.Atoi(strings.TrimPrefix(f[0], "app."))
+		if err != nil {
+			t.Fatalf("report line %q: %v", l, err)
+		}
+		core, err := strconv.Atoi(f[4])
+		if err != nil {
+			t.Fatalf("report line %q: %v", l, err)
+		}
+		if core/4 != i%8/4 {
+			t.Errorf("%s ended on core %d (node %d), pinned to core %d (node %d)",
+				f[0], core, core/4, i%8, i%8/4)
+		}
+		threads++
+	}
+	if threads != 10 {
+		t.Fatalf("report lists %d threads, want 10:\n%s", threads, out)
 	}
 }
 

@@ -131,10 +131,6 @@ func (c *Core) Online() bool { return c.online }
 // Freq returns the core's dynamic frequency factor (1.0 nominal).
 func (c *Core) Freq() float64 { return c.freq }
 
-// Stolen returns the fraction of wall time currently stolen from the
-// running task by the kernel-noise model.
-func (c *Core) Stolen() float64 { return c.stolen }
-
 // StolenWall returns the total wall time the kernel-noise model has
 // stolen from the core since boot, whether or not a task was running —
 // what /proc/stat's steal+irq columns report on a real machine. A
