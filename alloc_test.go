@@ -6,13 +6,15 @@ package lbos
 // are a property of the code, not of the host, so the ceilings hold on
 // any machine; wall time is lbbench's job (BENCHMARK.json).
 //
-// Every ceiling is ⌊allocs/op × 1.15⌋ of the code it was recorded on.
+// Every ceiling is ⌊count × 1.15⌋ of the code it was recorded on, the
+// count being allocations per op, or per admitted job for the open row.
 // A change that cuts a row's count should lower its ceiling to match.
 
 import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -36,7 +38,7 @@ import (
 const allocSeed = 20100109
 
 // allocRows are the pinned scenarios, each with its ceiling in
-// allocations per op.
+// allocations per op, or per unit for rows that count units.
 var allocRows = []struct {
 	name string
 	// long rows build a 1,024-core machine or run whole experiments;
@@ -45,30 +47,35 @@ var allocRows = []struct {
 	// runs is AllocsPerRun's op count (it runs one more to warm up).
 	runs int
 	max  float64
-	// build assembles the scenario and returns its op.
-	build func(t *testing.T) (op func())
+	// build assembles the scenario and returns its op. A row that
+	// reports allocations per unit of work (the open row: per admitted
+	// job) also returns a counter of the units done so far; the others
+	// return nil.
+	build func(t *testing.T) (op func(), units func() int)
 }{
-	{"wake", false, 20, 729, func(*testing.T) func() {
-		return steady(speedScenario("wake", speedbal.Config{}, nil), time.Second, 100*time.Millisecond)
+	{"wake", false, 20, 0, func(*testing.T) (func(), func() int) {
+		return steady(speedScenario("wake", speedbal.Config{}, nil), time.Second, 100*time.Millisecond), nil
 	}},
-	{"predict", false, 20, 765, func(*testing.T) func() {
+	{"predict", false, 20, 36, func(*testing.T) (func(), func() int) {
 		cfg := speedbal.Config{Predict: predict.DefaultConfig()}
-		return steady(speedScenario("predict", cfg, nil), time.Second, 100*time.Millisecond)
+		return steady(speedScenario("predict", cfg, nil), time.Second, 100*time.Millisecond), nil
 	}},
-	{"perturb", false, 20, 1864, func(*testing.T) func() {
-		return steady(speedScenario("perturb", speedbal.Config{}, addPerturbation), time.Second, 100*time.Millisecond)
+	{"perturb", false, 20, 34, func(*testing.T) (func(), func() int) {
+		return steady(speedScenario("perturb", speedbal.Config{}, addPerturbation), time.Second, 100*time.Millisecond), nil
 	}},
-	{"fab1k", true, 1, 1779, func(*testing.T) func() {
-		return steady(fabric1kSetup(), 100*time.Millisecond, 10*time.Millisecond)
+	{"fab1k", true, 1, 35, func(*testing.T) (func(), func() int) {
+		return steady(fabric1kSetup(), 100*time.Millisecond, 10*time.Millisecond), nil
 	}},
-	{"open", false, 20, 1003, func(*testing.T) func() {
-		return steady(openScenario(), time.Second, 100*time.Millisecond)
+	{"open", false, 20, 10, func(*testing.T) (func(), func() int) {
+		m, g := openScenario()
+		return steady(m, time.Second, 100*time.Millisecond), func() int { return g.Admitted }
 	}},
+	{"setup", false, 20, 560, func(*testing.T) (func(), func() int) { return buildTigerton, nil }},
 	{"serve", false, 100, 47, serveHit},
-	{"fig2", true, 1, 681284, experimentRun("fig2")},
-	{"fig3t", true, 1, 654394, experimentRun("fig3t")},
-	{"fig5", true, 1, 195585, experimentRun("fig5")},
-	{"abl-int", true, 1, 91774, experimentRun("abl-int")},
+	{"fig2", true, 1, 15112, experimentRun("fig2")},
+	{"fig3t", true, 1, 53760, experimentRun("fig3t")},
+	{"fig5", true, 1, 23017, experimentRun("fig5")},
+	{"abl-int", true, 1, 21273, experimentRun("abl-int")},
 }
 
 // TestAllocationCeilings fails when a scenario's op allocates more than
@@ -79,10 +86,34 @@ func TestAllocationCeilings(t *testing.T) {
 			if r.long && testing.Short() {
 				t.Skip("long scenario")
 			}
-			got := testing.AllocsPerRun(r.runs, r.build(t))
-			t.Logf("%s: %.0f allocs/op", r.name, got)
+			op, units := r.build(t)
+			if units == nil {
+				got := testing.AllocsPerRun(r.runs, op)
+				t.Logf("%s: %.0f allocs/op", r.name, got)
+				if got > r.max {
+					t.Errorf("%s allocates %.0f times per op, ceiling %.0f", r.name, got, r.max)
+				}
+				return
+			}
+			// AllocsPerRun's first call warms up: count the units of
+			// the measured calls only.
+			calls, start := 0, 0
+			counted := func() {
+				if calls == 1 {
+					start = units()
+				}
+				calls++
+				op()
+			}
+			perOp := testing.AllocsPerRun(r.runs, counted)
+			done := units() - start
+			if done <= 0 {
+				t.Fatalf("%s: %d ops did no unit of work", r.name, r.runs)
+			}
+			got := perOp * float64(r.runs) / float64(done)
+			t.Logf("%s: %.0f allocs/op, %.1f allocs/unit over %d units", r.name, perOp, got, done)
 			if got > r.max {
-				t.Errorf("%s allocates %.0f times per op, ceiling %.0f", r.name, got, r.max)
+				t.Errorf("%s allocates %.1f times per unit, ceiling %.0f", r.name, got, r.max)
 			}
 		})
 	}
@@ -142,11 +173,61 @@ func addPerturbation(m *sim.Machine) {
 // whole arrival pipeline — exponential draws, control-queue timers,
 // task creation, placement, per-job accounting on departure — on top of
 // the scheduler traffic the admitted jobs generate.
-func openScenario() *sim.Machine {
+func openScenario() (*sim.Machine, *openload.Gen) {
 	m := sim.New(topo.Tigerton(), sim.Config{Seed: allocSeed, NewScheduler: cfs.Factory()})
 	m.AddActor(linuxlb.Default())
-	m.AddActor(openload.New(openload.Config{Rho: 0.8}))
-	return m
+	g := openload.New(openload.Config{Rho: 0.8})
+	m.AddActor(g)
+	return m, g
+}
+
+// buildTigerton is the set-up a LOAD run of a closed experiment pays: a
+// Tigerton machine under CFS and the Linux balancer with a 16-thread UPC
+// app started on it, run to time zero so the balancer's Start builds its
+// sched groups.
+func buildTigerton() {
+	m := sim.New(topo.Tigerton(), sim.Config{Seed: allocSeed, NewScheduler: cfs.Factory()})
+	m.AddActor(linuxlb.Default())
+	app := spmd.Build(m, spmd.Spec{
+		Name:             "setup",
+		Threads:          16,
+		Iterations:       10,
+		WorkPerIteration: 3e6,
+		Model:            spmd.UPC(),
+	})
+	app.Start()
+	m.Run(0)
+}
+
+// An open run holds memory only for its live tasks. From 20 s to 120 s
+// of simulated time at ρ=0.8 the heap left after a collection may grow
+// by at most 200 B per admitted job: the generator keeps one 64-byte
+// openload.Record per completed job, and its slice grows by doubling.
+// Retaining every exited task, its name, program and sleep timer costs
+// several times that.
+func TestOpenRunMemoryBounded(t *testing.T) {
+	m, g := openScenario()
+	m.RunFor(20 * time.Second)
+	before, jobs := liveHeap(), g.Admitted
+	m.RunFor(100 * time.Second)
+	after := liveHeap()
+	jobs = g.Admitted - jobs
+	runtime.KeepAlive(m)
+	perJob := (float64(after) - float64(before)) / float64(jobs)
+	t.Logf("heap %d → %d B over %d admitted jobs: %.0f B/job, %d live tasks",
+		before, after, jobs, perJob, m.LiveTasks())
+	if perJob > 200 {
+		t.Errorf("heap grew by %.0f B per admitted job, want at most 200", perJob)
+	}
+}
+
+// liveHeap returns the bytes of heap objects still reachable after a
+// full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // fabric1kSetup assembles the datacenter-scale sharded scenario: a
@@ -210,7 +291,7 @@ func TestFabric1kWindowsOpen(t *testing.T) {
 // through the HTTP handler stack — spec parse, canonicalization,
 // SHA-256 key derivation, cache lookup and response serialisation —
 // that must come back a hit without touching the worker pool.
-func serveHit(t *testing.T) func() {
+func serveHit(t *testing.T) (func(), func() int) {
 	s := serve.New(serve.Config{Workers: 1, QueueDepth: 4, Version: "bench"})
 	t.Cleanup(s.Drain)
 	h := s.Handler()
@@ -228,14 +309,14 @@ func serveHit(t *testing.T) func() {
 		if w := post(); w.Code != http.StatusOK || w.Header().Get("X-Lbos-Cache") != serve.CacheHit {
 			t.Fatalf("serve op was not a cache hit: %d %q", w.Code, w.Header().Get("X-Lbos-Cache"))
 		}
-	}
+	}, nil
 }
 
 // experimentRun returns a scenario whose op is one full single-rep
 // serial run of a registered experiment at scale 8, with a metrics
 // aggregate attached as `lbos run -metrics` attaches one.
-func experimentRun(id string) func(t *testing.T) func() {
-	return func(t *testing.T) func() {
+func experimentRun(id string) func(t *testing.T) (func(), func() int) {
+	return func(t *testing.T) (func(), func() int) {
 		e, err := exp.ByID(id)
 		if err != nil {
 			t.Fatal(err)
@@ -246,6 +327,6 @@ func experimentRun(id string) func(t *testing.T) func() {
 				Parallelism: 1,
 				Metrics:     metrics.NewAggregate(),
 			})
-		}
+		}, nil
 	}
 }

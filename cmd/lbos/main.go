@@ -34,8 +34,8 @@
 //	-q           suppress progress logging
 //
 // run rejects -reps or -scale below 1 and -parallel below 0 with exit
-// status 2 before any experiment starts, and exits 1 when a -csv file
-// cannot be written.
+// status 2 before any experiment starts, and exits 1 when a -csv or
+// -trace file cannot be written.
 package main
 
 import (
@@ -83,7 +83,7 @@ func list() {
 
 // run executes `lbos run`: tables go to stdout, progress and errors to
 // stderr. It returns the process exit status.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	reps := fs.Int("reps", 10, "repetitions per configuration")
@@ -142,16 +142,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
 		if err != nil {
-			fmt.Fprintln(stderr, err)
+			fmt.Fprintf(stderr, "lbos: %v\n", err)
 			return 1
 		}
 		ctx.Trace = exp.NewTraceSink(f, 0)
 		defer func() {
-			if err := ctx.Trace.Close(); err != nil {
-				fmt.Fprintln(stderr, err)
+			err := ctx.Trace.Close()
+			if cerr := f.Close(); err == nil {
+				err = cerr
 			}
-			f.Close()
-			if !*quiet {
+			switch {
+			case err != nil:
+				fmt.Fprintf(stderr, "lbos: %v\n", err)
+				code = 1
+			case !*quiet:
 				fmt.Fprintf(stderr, "lbos: trace of %d runs written to %s (load in ui.perfetto.dev)\n",
 					ctx.Trace.Cells, *traceFile)
 			}

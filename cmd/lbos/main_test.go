@@ -92,3 +92,29 @@ func TestRunCSVFailureExitsOne(t *testing.T) {
 		t.Errorf("writable -csv wrote %v, want one table1_0_*.csv", files)
 	}
 }
+
+// TestRunTraceFailureExitsOne: a -trace file whose writes fail ends the
+// run with exit 1 and one stderr line, and without -q the "trace
+// written" line is not printed.
+func TestRunTraceFailureExitsOne(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	var out, errb bytes.Buffer
+	args := []string{"-q", "-reps", "1", "-scale", "32", "-trace", "/dev/full", "fig1"}
+	if code := run(args, &out, &errb); code != 1 {
+		t.Errorf("unwritable -trace: exit %d, want 1", code)
+	}
+	if msg := errb.String(); strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "lbos: ") ||
+		!strings.Contains(msg, "/dev/full") {
+		t.Errorf("unwritable -trace: stderr %q, want one lbos: line naming /dev/full", msg)
+	}
+
+	errb.Reset()
+	if code := run(args[1:], &out, &errb); code != 1 {
+		t.Errorf("unwritable -trace without -q: exit %d, want 1", code)
+	}
+	if strings.Contains(errb.String(), "written to") {
+		t.Errorf("unwritable -trace without -q reported the trace written:\n%s", errb.String())
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/task"
 	"repro/internal/trace"
 )
 
@@ -33,9 +34,14 @@ const (
 // read from its traced stints: one row per core, one column per
 // chartPeriod, one letter per task group (a task without a group is
 // labelled by its name, idle is '.'), then each core's utilisation, its
-// exact busy time over the run.
-func writeChart(w io.Writer, m *sim.Machine, stints []trace.Event) {
+// exact busy time over the run. log lists the run's tasks: the machine
+// keeps only live ones.
+func writeChart(w io.Writer, m *sim.Machine, log *sim.TaskLog, stints []trace.Event) {
 	end := m.Now()
+	byID := make(map[int]*task.Task, len(log.Tasks))
+	for _, t := range log.Tasks {
+		byID[t.ID] = t
+	}
 	// A task still on-CPU when the run stopped has emitted no stint.
 	for _, c := range m.Cores {
 		if t := c.Current(); t != nil && c.StintStart() < end {
@@ -53,9 +59,10 @@ func writeChart(w io.Writer, m *sim.Machine, stints []trace.Event) {
 	letters := map[string]byte{}
 	for _, e := range stints {
 		busy[e.Core] += e.Dur
-		label := m.Tasks()[e.Task].Group
+		t := byID[e.Task]
+		label := t.Group
 		if label == "" {
-			label = m.Tasks()[e.Task].Name
+			label = t.Name
 		}
 		// Stints are half-open, [start, end): one ending at a sample
 		// instant gives way to the one starting there.

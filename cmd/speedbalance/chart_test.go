@@ -19,9 +19,9 @@ func tracedSMP(n int, seed uint64) (*sim.Machine, *stintLog) {
 	return sim.New(topo.SMP(n), sim.Config{Seed: seed, NewScheduler: cfs.Factory(), Tracer: log}), log
 }
 
-func chart(m *sim.Machine, log *stintLog) string {
+func chart(m *sim.Machine, tasks *sim.TaskLog, log *stintLog) string {
 	var b strings.Builder
-	writeChart(&b, m, *log)
+	writeChart(&b, m, tasks, *log)
 	return b.String()
 }
 
@@ -31,6 +31,7 @@ func chart(m *sim.Machine, log *stintLog) string {
 // fall at 50..950 ms: none is taken at the instant the run ends.
 func TestChartSamplesAndUtilisation(t *testing.T) {
 	m, log := tracedSMP(2, 1)
+	tasks := sim.LogTasks(m)
 	hog := m.NewTask("hog", &task.ComputeForever{Chunk: 1e9})
 	hog.Group = "hog"
 	m.StartOn(hog, 0)
@@ -39,13 +40,14 @@ func TestChartSamplesAndUtilisation(t *testing.T) {
 		"core  1 " + strings.Repeat(".", 19) + "\n" +
 		"legend: .=idle  a=hog\n" +
 		"utilisation:\n  core0  100%  core1    0%  \n"
-	if got := chart(m, log); got != want {
+	if got := chart(m, tasks, log); got != want {
 		t.Errorf("chart:\n%s\nwant:\n%s", got, want)
 	}
 }
 
 func TestChartRendersGroupsAndLegend(t *testing.T) {
 	m, log := tracedSMP(2, 2)
+	tasks := sim.LogTasks(m)
 	app := spmd.Build(m, spmd.Spec{
 		Name: "app", Threads: 2, Iterations: 1, WorkPerIteration: 500e6,
 		Model: spmd.UPC(),
@@ -58,15 +60,16 @@ func TestChartRendersGroupsAndLegend(t *testing.T) {
 		"core  1 aaaaaaaaa..\n" +
 		"legend: .=idle  a=app\n" +
 		"utilisation:\n  core0   83%  core1   83%  \n"
-	if got := chart(m, log); got != want {
+	if got := chart(m, tasks, log); got != want {
 		t.Errorf("chart:\n%s\nwant:\n%s", got, want)
 	}
 }
 
 func TestChartEmpty(t *testing.T) {
 	m, log := tracedSMP(1, 3)
+	tasks := sim.LogTasks(m)
 	want := "(no samples)\nutilisation:\n  core0    0%  \n"
-	if got := chart(m, log); got != want {
+	if got := chart(m, tasks, log); got != want {
 		t.Errorf("empty chart %q, want %q", got, want)
 	}
 }

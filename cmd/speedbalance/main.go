@@ -25,8 +25,9 @@
 // The SPEED run and the -baseline LOAD and PINNED runs are cells of one
 // exp.Runner, the experiment harness behind `lbos run`: each owns its
 // machine and seed, so the report is byte-identical at any -parallel.
-// Flag values the chosen machine cannot honour are rejected with exit
-// status 2 before any run starts.
+// Flag values the chosen machine cannot honour, a non-positive -interval
+// or -work, and an -iters below 1 are rejected with exit status 2
+// before any run starts.
 package main
 
 import (
@@ -96,6 +97,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("-cores %d: %s has %d cores", *cores, *machine, n)
 	case *hog >= n:
 		return fail("-hog %d: %s has cores 0-%d", *hog, *machine, n-1)
+	case *intervalMS <= 0:
+		return fail("-interval %d: need a positive balance interval", *intervalMS)
+	case *iters < 1:
+		return fail("-iters %d: need at least one iteration", *iters)
+	case *workMS <= 0:
+		return fail("-work %g: need positive work per iteration", *workMS)
 	}
 	aff := cpuset.All(n)
 	if *cores > 0 {
@@ -135,8 +142,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	so := o
 	so.Strategy = exp.StratSpeed
 	var stints stintLog
+	var started *sim.TaskLog
 	if *showTimeline {
 		so.Tracer = &stints
+		so.Setup = func(m *sim.Machine) {
+			started = sim.LogTasks(m)
+			o.Setup(m)
+		}
 	}
 	var res exp.RunResult
 	r.Submit(so, func(rr exp.RunResult) { res = rr })
@@ -165,7 +177,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *showTimeline {
 		fmt.Fprintln(stdout)
-		writeChart(stdout, res.Machine, stints)
+		writeChart(stdout, res.Machine, started, stints)
 	}
 
 	if *baseline {

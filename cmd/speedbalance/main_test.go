@@ -114,7 +114,10 @@ func TestSpeedRunKeepsNUMANodes(t *testing.T) {
 // Flag values the machine cannot honour exit 2 with one line naming the
 // flag, before any run starts.
 func TestBadFlagsExitTwo(t *testing.T) {
-	for _, args := range []string{"-threads 0", "-hog 99", "-cores 40"} {
+	for _, args := range []string{
+		"-threads 0", "-hog 99", "-cores 40",
+		"-interval -5", "-interval 0", "-iters -3", "-iters 0", "-work -1", "-work 0",
+	} {
 		var out, errb bytes.Buffer
 		if code := run(strings.Fields(args), &out, &errb); code != 2 {
 			t.Errorf("%s: exit %d, want 2", args, code)

@@ -39,6 +39,7 @@ func TestCPUHog(t *testing.T) {
 // make -j keeps its width in flight and respawns finished jobs.
 func TestMakeJRespawns(t *testing.T) {
 	m := newMachine(4, 2)
+	log := sim.LogTasks(m)
 	mk := &competing.MakeJ{Width: 3}
 	m.AddActor(mk)
 	m.RunFor(3 * time.Second)
@@ -46,11 +47,18 @@ func TestMakeJRespawns(t *testing.T) {
 		t.Errorf("only %d jobs finished in 3s", mk.JobsFinished)
 	}
 	// In-flight count: tasks in the "make" group not yet done.
-	inflight := 0
-	for _, tk := range m.Tasks() {
-		if tk.Group == "make" && tk.State != task.Done {
+	inflight, jobs := 0, 0
+	for _, tk := range log.Tasks {
+		if tk.Group != "make" {
+			continue
+		}
+		jobs++
+		if tk.State != task.Done {
 			inflight++
 		}
+	}
+	if jobs != mk.JobsFinished+inflight {
+		t.Errorf("logged %d make jobs, want %d finished plus %d in flight", jobs, mk.JobsFinished, inflight)
 	}
 	if inflight == 0 || inflight > 3 {
 		t.Errorf("in-flight jobs %d, want 1..3", inflight)
@@ -102,10 +110,14 @@ func TestInteractive(t *testing.T) {
 // MakeJ respects its affinity restriction.
 func TestMakeJAffinity(t *testing.T) {
 	m := newMachine(4, 6)
+	log := sim.LogTasks(m)
 	mk := &competing.MakeJ{Width: 4, Affinity: cpuset.Of(0, 1)}
 	m.AddActor(mk)
 	m.RunFor(2 * time.Second)
-	for _, tk := range m.Tasks() {
+	if len(log.Tasks) <= mk.Width {
+		t.Errorf("only %d make jobs started in 2s", len(log.Tasks))
+	}
+	for _, tk := range log.Tasks {
 		if tk.Group == "make" && tk.CoreID > 1 {
 			t.Errorf("make job on core %d outside affinity", tk.CoreID)
 		}

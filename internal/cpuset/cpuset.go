@@ -37,11 +37,24 @@ func Of(cores ...int) Set {
 	return s
 }
 
-// Range returns the set {lo, lo+1, ..., hi-1}.
+// Range returns the set {lo, lo+1, ..., hi-1}. It panics if the range
+// is non-empty and not inside [0, MaxCPU).
 func Range(lo, hi int) Set {
 	var s Set
-	for c := lo; c < hi; c++ {
-		s = s.Add(c)
+	if lo >= hi {
+		return s
+	}
+	check(lo)
+	check(hi - 1)
+	// Fill whole words at once: every word from lo's to (hi-1)'s, with
+	// the bits below lo and from hi on cleared at the two ends.
+	first, last := lo>>6, (hi-1)>>6
+	for i := first; i <= last; i++ {
+		s.w[i] = ^uint64(0)
+	}
+	s.w[first] &^= 1<<uint(lo&63) - 1
+	if r := uint(hi & 63); r != 0 {
+		s.w[last] &= 1<<r - 1
 	}
 	return s
 }

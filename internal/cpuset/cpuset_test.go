@@ -53,6 +53,16 @@ func TestRangeAll(t *testing.T) {
 	if got := All(MaxCPU).Count(); got != MaxCPU {
 		t.Errorf("All(MaxCPU).Count() = %d", got)
 	}
+	// Ends on and next to word boundaries, against one Add per core.
+	for _, r := range [][2]int{{0, 64}, {63, 64}, {64, 128}, {127, 129}, {1, MaxCPU - 1}, {MaxCPU - 64, MaxCPU}} {
+		var want Set
+		for c := r[0]; c < r[1]; c++ {
+			want = want.Add(c)
+		}
+		if got := Range(r[0], r[1]); got != want {
+			t.Errorf("Range(%d,%d) = %v, want %v", r[0], r[1], got, want)
+		}
+	}
 }
 
 func TestAddRemove(t *testing.T) {

@@ -131,17 +131,19 @@ func firstDivergence(want, got string) string {
 }
 
 // Fingerprint summarises the complete observable end state of a machine
-// — clock, counters, every task's accounting, every core's time split —
-// as a string two equivalent engines must reproduce byte-identically.
+// — clock, counters, the accounting of every task the run started,
+// every core's time split — as a string two equivalent engines must
+// reproduce byte-identically. The machine forgets exited tasks, so the
+// run's tasks come from the TaskLog attached to m before they started.
 // Work prints in its shortest exact form, so a drift of one ulp shows.
 // It is the machine-level analogue of Capture for workloads driven
 // below the experiment harness (the property-based cross-checks).
-func Fingerprint(m *sim.Machine) string {
+func Fingerprint(m *sim.Machine, log *sim.TaskLog) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "now=%d events=%d cs=%d wake=%d mig=%d live=%d\n",
 		m.Now(), m.Stats.Events, m.Stats.ContextSwitches, m.Stats.Wakeups,
 		m.Stats.TotalMigrations(), m.LiveTasks())
-	for _, t := range m.Tasks() {
+	for _, t := range log.Tasks {
 		fmt.Fprintf(&b, "task %d %s exec=%d work=%v mig=%d fin=%d core=%d st=%v\n",
 			t.ID, t.Name, t.ExecTime, t.WorkDone, t.Migrations, t.FinishedAt, t.CoreID, t.State)
 	}

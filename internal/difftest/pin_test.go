@@ -12,14 +12,19 @@ import (
 // that moves between commits. noise-omps runs CG on Tigerton's 4-core
 // front-side-bus domains, so it depends on the memory-bandwidth factor;
 // ext-smt runs EP on Nehalem, where the SMT factor of the same
-// effective-speed computation decides the result. A deliberate output
-// change re-records them with the value the failure prints.
+// effective-speed computation decides the result. open-bakeoff and
+// predict-bakeoff run open arrival streams, where task churn drives the
+// machine's live-task list and speedbal's rescan adopts each arrival.
+// A deliberate output change re-records them with the value the
+// failure prints.
 var pinned = []struct {
 	id     string
 	digest string
 }{
 	{"noise-omps", "6bad360dd8acbbdf"},
 	{"ext-smt", "1edfd8490708c1b5"},
+	{"open-bakeoff", "f7fbd287b19b3ad4"},
+	{"predict-bakeoff", "23bef9761a07a991"},
 }
 
 func TestPinnedContendedCaptures(t *testing.T) {

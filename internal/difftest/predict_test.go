@@ -47,7 +47,7 @@ func closedFingerprint(t *testing.T, pcfg predict.Config, seed uint64) string {
 	// check below fails on shorter runs), still ~10ms of wall time.
 	spec := npb.EP.Spec(16, spmd.UPC(), cpuset.All(10))
 	spec.WorkPerIteration /= 4
-	res := exp.Run(exp.RunOpts{
+	res, log := runLogged(exp.RunOpts{
 		Topo: topo.Tigerton, Strategy: exp.StratSpeed, Spec: spec,
 		Seed: seed, SpeedCfg: &scfg,
 		Perturb: perturb.Config{Freq: perturb.DefaultFreq()},
@@ -55,7 +55,7 @@ func closedFingerprint(t *testing.T, pcfg predict.Config, seed uint64) string {
 	if res.Truncated {
 		t.Fatal("closed workload truncated — fingerprints would compare limits, not runs")
 	}
-	return Fingerprint(res.Machine)
+	return Fingerprint(res.Machine, log)
 }
 
 // openFingerprint runs an open arrival stream with rescan adoption —
@@ -65,6 +65,7 @@ func openFingerprint(pcfg predict.Config, seed uint64) string {
 	cfg := sim.Config{Seed: seed}
 	cfg.NewScheduler = cfs.Factory()
 	m := sim.New(topo.Tigerton(), cfg)
+	log := sim.LogTasks(m)
 	m.AddActor(linuxlb.Default())
 	scfg := speedbal.DefaultConfig()
 	scfg.RescanGroup = openload.Group
@@ -73,7 +74,7 @@ func openFingerprint(pcfg predict.Config, seed uint64) string {
 	m.AddActor(perturb.New(perturb.Config{Freq: perturb.DefaultFreq()}))
 	m.AddActor(openload.New(openload.Config{Rho: 0.6, Horizon: 500 * time.Millisecond}))
 	m.Run(int64(2 * time.Second))
-	return Fingerprint(m)
+	return Fingerprint(m, log)
 }
 
 func TestPredictDegeneracyClosed(t *testing.T) {

@@ -87,17 +87,31 @@ func drawPerturb(rng *rand.Rand) perturb.Config {
 	return cfg
 }
 
+// runLogged runs o with a TaskLog attached before any task starts.
+func runLogged(o exp.RunOpts) (exp.RunResult, *sim.TaskLog) {
+	var log *sim.TaskLog
+	setup := o.Setup
+	o.Setup = func(m *sim.Machine) {
+		log = sim.LogTasks(m)
+		if setup != nil {
+			setup(m)
+		}
+	}
+	return exp.Run(o), log
+}
+
 // checkInvariants runs the physical-accounting checks both engines must
 // satisfy independently of agreeing with each other: exec time never
 // exceeds real time, and core busy/idle time fits in the elapsed time.
-func checkInvariants(t *testing.T, label string, m *sim.Machine) {
+// log lists the run's tasks.
+func checkInvariants(t *testing.T, label string, m *sim.Machine, log *sim.TaskLog) {
 	t.Helper()
 	m.Sync()
 	now := m.Now()
 	if now <= 0 {
 		t.Fatalf("%s: run did not advance", label)
 	}
-	for _, tk := range m.Tasks() {
+	for _, tk := range log.Tasks {
 		if alive := now - tk.StartedAt; int64(tk.ExecTime) > alive {
 			t.Errorf("%s: task %q exec %v exceeds its real time %v",
 				label, tk.Name, tk.ExecTime, time.Duration(alive))
@@ -135,14 +149,17 @@ func TestPropertyEngineCrossCheck(t *testing.T) {
 		o := drawRun(rng)
 		o.Limit = 10 * time.Second
 
-		ref := exp.Run(o)
+		ref, refLog := runLogged(o)
 		label := fmt.Sprintf("draw %d (%s on %s)", i, o.Strategy, ref.Machine.Topo.Name)
-		checkInvariants(t, label, ref.Machine)
-		want := Fingerprint(ref.Machine)
+		if len(refLog.Tasks) < o.Spec.Threads {
+			t.Fatalf("%s: logged %d tasks, fewer than the app's %d threads", label, len(refLog.Tasks), o.Spec.Threads)
+		}
+		checkInvariants(t, label, ref.Machine, refLog)
+		want := Fingerprint(ref.Machine, refLog)
 
-		again := exp.Run(o)
-		checkInvariants(t, label+" repeat", again.Machine)
-		if got := Fingerprint(again.Machine); got != want {
+		again, againLog := runLogged(o)
+		checkInvariants(t, label+" repeat", again.Machine, againLog)
+		if got := Fingerprint(again.Machine, againLog); got != want {
 			t.Errorf("%s: a repeat run diverges:\n%s", label, firstDivergence(want, got))
 		}
 	}
@@ -154,7 +171,7 @@ func TestPropertyEngineCrossCheck(t *testing.T) {
 // optionally under per-core noise and frequency drift (machine-global
 // timers, so they bound the windows). Returns the machine after a
 // bounded run.
-func propFabric(seed int64, shards int, par bool) (*sim.Machine, bool) {
+func propFabric(seed int64, shards int, par bool) (*sim.Machine, *sim.TaskLog) {
 	rng := rand.New(rand.NewSource(seed))
 	sockets := []int{2, 4}[rng.Intn(2)]
 	coresPer := []int{2, 4, 8}[rng.Intn(3)]
@@ -162,6 +179,7 @@ func propFabric(seed int64, shards int, par bool) (*sim.Machine, bool) {
 	cfg := sim.Config{Seed: uint64(seed), Shards: shards, ShardParallel: par,
 		NewScheduler: cfs.Factory()}
 	m := sim.New(tp, cfg)
+	log := sim.LogTasks(m)
 
 	perSocket := make([]cpuset.Set, sockets)
 	for _, ci := range tp.Cores {
@@ -193,7 +211,7 @@ func propFabric(seed int64, shards int, par bool) (*sim.Machine, bool) {
 		app.StartPinned()
 	}
 	m.Run(int64(2 * time.Second))
-	return m, usePerturb
+	return m, log
 }
 
 // TestPropertyWindowCrossCheck draws random socket-contained fabrics —
@@ -208,18 +226,18 @@ func TestPropertyWindowCrossCheck(t *testing.T) {
 	windowed := 0
 	for i := 0; i < draws; i++ {
 		seed := int64(3000 + i)
-		legacy, _ := propFabric(seed, 1, false)
-		want := Fingerprint(legacy)
-		checkInvariants(t, fmt.Sprintf("fabric draw %d legacy", i), legacy)
+		legacy, legacyLog := propFabric(seed, 1, false)
+		want := Fingerprint(legacy, legacyLog)
+		checkInvariants(t, fmt.Sprintf("fabric draw %d legacy", i), legacy, legacyLog)
 
-		seq, _ := propFabric(seed, 8, false)
-		if got := Fingerprint(seq); got != want {
+		seq, seqLog := propFabric(seed, 8, false)
+		if got := Fingerprint(seq, seqLog); got != want {
 			t.Errorf("fabric draw %d: sequential shards diverge:\n%s", i, firstDivergence(want, got))
 		}
 
-		par, _ := propFabric(seed, 8, true)
-		checkInvariants(t, fmt.Sprintf("fabric draw %d windowed", i), par)
-		if got := Fingerprint(par); got != want {
+		par, parLog := propFabric(seed, 8, true)
+		checkInvariants(t, fmt.Sprintf("fabric draw %d windowed", i), par, parLog)
+		if got := Fingerprint(par, parLog); got != want {
 			t.Errorf("fabric draw %d: windowed engine diverges:\n%s", i, firstDivergence(want, got))
 		}
 		if par.Windows() > 0 {

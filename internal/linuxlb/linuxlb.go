@@ -115,29 +115,65 @@ type coreState struct {
 	// levels[li] is the precomputed sched-group structure this core
 	// compares when balancing at domain level li. The topology is static,
 	// so the groups, their core lists and the level span are derived once
-	// at Start instead of on every tick.
+	// per span at Start instead of on every tick.
 	levels []levelGroups
 	// tick is the core's reusable scheduler-tick timer.
 	tick *sim.Timer
+	// pull is moveTasks's search state for pulls into this core. It is
+	// per core because a domain contained in one shard balances inside
+	// parallel windows, on the worker of the pulling core's shard.
+	pull pullScan
 }
 
-// levelGroups caches one (core, level) balancing view.
+// levelGroups is one core's view of a domain level: the level's span,
+// shared by every core in it, and the core's own group in it.
 type levelGroups struct {
-	// groups are the child groups compared at the level, in the same
-	// deterministic order subgroup discovery yields them.
-	groups []groupInfo
-	// local is the index in groups of the group containing the core, or
-	// -1 if none does.
+	*spanGroups
+	// local is the index in groups of the group containing the core.
 	local int
+}
+
+// spanGroups is the sched-group structure of one span at one level.
+type spanGroups struct {
+	// groups lists the core IDs of each child group compared at the
+	// level, in the same deterministic order subgroup discovery yields
+	// them.
+	groups [][]int
 	// span lists the core IDs of the level's whole span (the
 	// active-balance push targets).
 	span []int
 }
 
-// groupInfo is one sched group with its core list materialised.
-type groupInfo struct {
-	set   cpuset.Set
-	cores []int
+// pullScan is the state of one moveTasks search over a source queue.
+// Its visitor is bound once at Start, so a pull allocates nothing.
+type pullScan struct {
+	dst      int
+	cacheHot int64
+	now      int64
+	amount   int64
+	moved    int
+	// resist is whether cache-hot candidates are skipped: the move is
+	// not forced and src and dst do not share a core.
+	resist bool
+	pick   *task.Task
+	visit  func(t *task.Task) bool
+}
+
+// consider picks the first queued task that may move: allowed on dst,
+// not heavier than what is left to move once something moved, and not
+// cache-hot unless hotness is ignored.
+func (p *pullScan) consider(t *task.Task) bool {
+	if !t.Affinity.Has(p.dst) {
+		return true
+	}
+	if t.Sched.Weight > p.amount && p.moved > 0 {
+		return true
+	}
+	if p.resist && p.now-t.LastRanAt < p.cacheHot {
+		return true
+	}
+	p.pick = t
+	return false
 }
 
 // New creates the balancer with the given configuration.
@@ -181,8 +217,9 @@ func (b *Balancer) Start(m *sim.Machine) {
 		}
 		for li, l := range m.Topo.Levels {
 			cs.nextBalance[li] = int64(l.BusyInterval)
-			cs.levels[li] = b.buildLevel(i, li)
 		}
+		cs.pull.dst, cs.pull.cacheHot = i, int64(b.cfg.CacheHot)
+		cs.pull.visit = cs.pull.consider
 		b.cores[i] = cs
 		// Stagger ticks across cores as real timer interrupts are.
 		off := b.rng.Jitter(int64(b.cfg.Tick))
@@ -198,37 +235,47 @@ func (b *Balancer) Start(m *sim.Machine) {
 		}
 		cs.tick.Schedule(m.Now() + off)
 	}
+	// Each level's groups partition the cores, so its spans are the
+	// groups clipped to the domain.
+	for li, l := range m.Topo.Levels {
+		for _, g := range l.Groups {
+			span := g.Intersect(b.domain)
+			if span.Empty() {
+				continue
+			}
+			sg := b.buildSpan(span, li)
+			for gi, cores := range sg.groups {
+				for _, id := range cores {
+					b.cores[id].levels[li] = levelGroups{spanGroups: sg, local: gi}
+				}
+			}
+		}
+	}
 	if b.cfg.StalePlacement && b.cfg.Domain.Empty() {
 		m.SetPlacer(b)
 	}
 	m.OnIdle(b.newIdle)
 }
 
-// buildLevel materialises the sched groups core id compares at level li:
-// the level-(li−1) groups inside the level-li span, or per-core
-// singletons at the innermost level. This mirrors the kernel structure
-// where a domain's sched_groups are its child domains.
-func (b *Balancer) buildLevel(id, li int) levelGroups {
-	span := b.m.Topo.Levels[li].GroupOf(id).Intersect(b.domain)
-	lg := levelGroups{local: -1, span: span.Cores()}
-	add := func(g cpuset.Set) {
-		if g.Has(id) {
-			lg.local = len(lg.groups)
-		}
-		lg.groups = append(lg.groups, groupInfo{set: g, cores: g.Cores()})
-	}
+// buildSpan materialises the sched groups compared within a level-li
+// span: the level-(li−1) groups inside it, or per-core singletons at the
+// innermost level. This mirrors the kernel structure where a domain's
+// sched_groups are its child domains.
+func (b *Balancer) buildSpan(span cpuset.Set, li int) *spanGroups {
+	sg := &spanGroups{span: span.Cores()}
 	if li == 0 {
-		for _, c := range span.Cores() {
-			add(cpuset.Of(c))
+		sg.groups = make([][]int, len(sg.span))
+		for i := range sg.span {
+			sg.groups[i] = sg.span[i : i+1 : i+1]
 		}
-		return lg
+		return sg
 	}
 	for _, g := range b.m.Topo.Levels[li-1].Groups {
 		if g = g.Intersect(span); !g.Empty() {
-			add(g)
+			sg.groups = append(sg.groups, g.Cores())
 		}
 	}
-	return lg
+	return sg
 }
 
 // tick is the per-core scheduler tick: refresh the load snapshot and run
@@ -268,12 +315,8 @@ func (b *Balancer) tick(c *sim.Core, now int64) {
 // is idle (Linux's should_we_balance).
 func (b *Balancer) shouldBalance(c *sim.Core, li int) bool {
 	lg := &b.cores[c.ID()].levels[li]
-	if lg.local < 0 {
-		return true
-	}
-	g := &lg.groups[lg.local]
 	first := -1
-	for _, id := range g.cores {
+	for _, id := range lg.groups[lg.local] {
 		o := b.m.Cores[id]
 		if !o.Online() {
 			// An offline core neither ticks nor balances; it must not
@@ -396,17 +439,16 @@ func (b *Balancer) groupLoad(cores []int, local, newIdle bool) (load int64, ncor
 }
 
 // imbalance computes the load amount (in weight units) that should move
-// into the local subgroup and the busiest subgroup it should come from
-// (nil when no remote group qualifies). This is the integer arithmetic
-// at the core of the paper's critique: for equal-weight tasks split
-// 3-vs-2 it yields 0.
-func (b *Balancer) imbalance(lg *levelGroups, imbPct int64, newIdle bool) (int64, *groupInfo) {
+// into the local subgroup and the cores of the busiest subgroup it
+// should come from (nil when no remote group qualifies). This is the
+// integer arithmetic at the core of the paper's critique: for
+// equal-weight tasks split 3-vs-2 it yields 0.
+func (b *Balancer) imbalance(lg *levelGroups, imbPct int64, newIdle bool) (int64, []int) {
 	var localAvg, maxAvg int64
 	var totalLoad, totalN int64
-	var busiest *groupInfo
-	for gi := range lg.groups {
-		g := &lg.groups[gi]
-		load, n := b.groupLoad(g.cores, gi == lg.local, newIdle)
+	var busiest []int
+	for gi, g := range lg.groups {
+		load, n := b.groupLoad(g, gi == lg.local, newIdle)
 		totalLoad += load
 		totalN += n
 		if gi == lg.local {
@@ -459,10 +501,10 @@ func (b *Balancer) imbalance(lg *levelGroups, imbPct int64, newIdle bool) (int64
 }
 
 // findBusiestQueue returns the most loaded core of the busiest subgroup.
-func (b *Balancer) findBusiestQueue(c *sim.Core, group *groupInfo, newIdle bool) *sim.Core {
+func (b *Balancer) findBusiestQueue(c *sim.Core, group []int, newIdle bool) *sim.Core {
 	var busiest *sim.Core
 	var maxLoad int64
-	for _, id := range group.cores {
+	for _, id := range group {
 		if id == c.ID() {
 			continue
 		}
@@ -485,36 +527,25 @@ func (b *Balancer) findBusiestQueue(c *sim.Core, group *groupInfo, newIdle bool)
 // skipping the running task and (unless force) cache-hot tasks and
 // respecting affinity. Returns the number of tasks moved.
 func (b *Balancer) moveTasks(src, dst *sim.Core, amount int64, force bool) int {
-	moved := 0
+	p := &b.cores[dst.ID()].pull
 	// The destination core's clock, not Machine.Now: inside a parallel
 	// window the machine clock lags the shard clock this pass runs on
 	// (src and dst share a shard whenever a window is open).
-	now := dst.Now()
+	p.now = dst.Now()
+	p.moved = 0
+	p.resist = !force && b.m.Topo.Distance(src.ID(), dst.ID()) > topo.DistSMT
 	for amount > 0 {
-		var pick *task.Task
-		src.Scheduler().EachQueued(func(t *task.Task) bool {
-			if !t.Affinity.Has(dst.ID()) {
-				return true
-			}
-			if t.Sched.Weight > amount && moved > 0 {
-				return true
-			}
-			hot := now-t.LastRanAt < int64(b.cfg.CacheHot) &&
-				b.m.Topo.Distance(src.ID(), dst.ID()) > topo.DistSMT
-			if hot && !force {
-				return true
-			}
-			pick = t
-			return false
-		})
-		if pick == nil {
+		p.amount, p.pick = amount, nil
+		src.Scheduler().EachQueued(p.visit)
+		if p.pick == nil {
 			break
 		}
-		amount -= pick.Sched.Weight
-		b.m.Migrate(pick, dst.ID(), "linuxlb")
-		moved++
+		amount -= p.pick.Sched.Weight
+		b.m.Migrate(p.pick, dst.ID(), "linuxlb")
+		p.moved++
 	}
-	return moved
+	p.pick = nil
+	return p.moved
 }
 
 // activeBalance pushes the running task of the busiest core to the

@@ -149,6 +149,7 @@ func Class4() openload.Class {
 // FixedAlloc pins every thread at admission and nothing ever migrates.
 func TestFixedAllocPinsThreads(t *testing.T) {
 	m := newMachine(17, 0, false)
+	log := sim.LogTasks(m)
 	m.AddActor(linuxlb.Default())
 	g := openload.New(openload.Config{Rho: 0.6, Horizon: time.Second, FixedAlloc: true})
 	m.AddActor(g)
@@ -156,7 +157,18 @@ func TestFixedAllocPinsThreads(t *testing.T) {
 	if g.Unfinished() != 0 {
 		t.Fatalf("%d jobs unfinished", g.Unfinished())
 	}
-	for _, tk := range m.Tasks() {
+	threads := map[string]int{}
+	for _, c := range openload.DefaultClasses() {
+		threads[c.Name] = max(c.Threads, 1)
+	}
+	want := 0
+	for _, r := range g.Records {
+		want += threads[r.Class]
+	}
+	if len(log.Tasks) != want {
+		t.Fatalf("logged %d tasks, want the %d threads of %d jobs", len(log.Tasks), want, len(g.Records))
+	}
+	for _, tk := range log.Tasks {
 		if tk.Group != openload.Group {
 			continue
 		}
@@ -227,6 +239,7 @@ func TestRhoScalesArrivals(t *testing.T) {
 // closed-batch bookkeeping fix this PR ships).
 func TestSpeedbalAdoptsArrivals(t *testing.T) {
 	m := newMachine(23, 0, false)
+	log := sim.LogTasks(m)
 	m.AddActor(linuxlb.Default())
 	sb := speedbal.New(speedbal.Config{RescanGroup: openload.Group})
 	m.AddActor(sb)
@@ -250,7 +263,10 @@ func TestSpeedbalAdoptsArrivals(t *testing.T) {
 	if sb.Adopted != g.Admitted {
 		t.Errorf("balancer adopted %d of %d arrivals", sb.Adopted, g.Admitted)
 	}
-	for _, tk := range m.Tasks() {
+	if len(log.Tasks) != g.Admitted {
+		t.Errorf("logged %d tasks, want one per admitted job (%d)", len(log.Tasks), g.Admitted)
+	}
+	for _, tk := range log.Tasks {
 		if tk.Group == openload.Group && tk.State != task.Done {
 			t.Errorf("task %q stuck in %v", tk.Name, tk.State)
 		}

@@ -92,6 +92,7 @@ func TestNoiseDelaysWork(t *testing.T) {
 // the run queue, and the stolen time shows up as daemon exec time.
 func TestKthreadNoiseIsSchedulable(t *testing.T) {
 	m := newMachine(7, 1, nil)
+	log := sim.LogTasks(m)
 	cfg := perturb.KthreadNoise()
 	in := perturb.New(perturb.Config{Noise: cfg})
 	m.AddActor(in)
@@ -102,7 +103,7 @@ func TestKthreadNoiseIsSchedulable(t *testing.T) {
 		t.Fatalf("app task did not finish under kthread noise")
 	}
 	var kw *task.Task
-	for _, tk := range m.Tasks() {
+	for _, tk := range log.Tasks {
 		if tk.Group == "kthread" {
 			kw = tk
 		}

@@ -47,6 +47,7 @@ func shortJob(work time.Duration) task.Program {
 func TestAdmissionAtWindowHorizonSharded(t *testing.T) {
 	run := func(shards int, par bool) (string, int) {
 		m := sim.New(topo.Fabric(4, 4), shardCfg(21, shards, par))
+		log := sim.LogTasks(m)
 		socketApps(m, spmd.UPCSleep(), 8)
 		for i, d := range []time.Duration{
 			5 * time.Millisecond, 10 * time.Millisecond, 15 * time.Millisecond,
@@ -58,7 +59,7 @@ func TestAdmissionAtWindowHorizonSharded(t *testing.T) {
 			})
 		}
 		m.Run(int64(40 * time.Millisecond))
-		return fingerprint(m), m.Windows()
+		return fingerprint(m, log), m.Windows()
 	}
 	want, _ := run(1, false)
 	for _, c := range []struct {
@@ -83,6 +84,7 @@ func TestAdmissionAtWindowHorizonSharded(t *testing.T) {
 func TestAdmissionDuringHotplugChurnSharded(t *testing.T) {
 	run := func(shards int) string {
 		m := sim.New(topo.Tigerton(), shardCfg(25, shards, false))
+		log := sim.LogTasks(m)
 		for i := 0; i < 4; i++ {
 			tk := m.NewTask(fmt.Sprintf("filler%d", i), hog(500*time.Microsecond))
 			m.StartOn(tk, i*4)
@@ -114,7 +116,7 @@ func TestAdmissionDuringHotplugChurnSharded(t *testing.T) {
 		if onto.State != task.Done {
 			t.Fatalf("task admitted onto replugged core stuck in %v", onto.State)
 		}
-		return fingerprint(m)
+		return fingerprint(m, log)
 	}
 	want := run(1)
 	for _, shards := range []int{2, 4} {
@@ -131,6 +133,7 @@ func TestAdmissionDuringHotplugChurnSharded(t *testing.T) {
 func TestAdmissionAfterDrainSharded(t *testing.T) {
 	run := func(shards int, par bool) string {
 		m := sim.New(topo.Fabric(4, 4), shardCfg(29, shards, par))
+		log := sim.LogTasks(m)
 		first := admitPinned(m, "first", shortJob(300*time.Microsecond), 0)
 		// The first job is done well before 10 ms; the wave arrives into
 		// a drained machine whose only pending event is this one.
@@ -153,7 +156,7 @@ func TestAdmissionAfterDrainSharded(t *testing.T) {
 				t.Fatalf("post-drain task %q stuck in %v", tk.Name, tk.State)
 			}
 		}
-		return fingerprint(m)
+		return fingerprint(m, log)
 	}
 	want := run(1, false)
 	for _, c := range []struct {

@@ -39,6 +39,11 @@ type Core struct {
 	// (wakeup preemption, release of a running waiter).
 	needResched bool
 	inDispatch  bool
+	// visitYield is yieldWaiter bound once at New, so the queue walk of
+	// onlyYieldWaitersQueued allocates no closure; allYield is its
+	// result.
+	visitYield func(t *task.Task) bool
+	allYield   bool
 
 	idle      bool
 	idleSince int64
@@ -560,15 +565,19 @@ func (c *Core) onStop() {
 // onlyYieldWaitersQueued reports whether every queued task on this core
 // is an unreleased yield-waiter (the symmetric ping-pong case).
 func (c *Core) onlyYieldWaitersQueued() bool {
-	all := true
-	c.sched.EachQueued(func(o *task.Task) bool {
-		if o.Cur.Kind != task.ExecYieldWait || o.Cur.Released {
-			all = false
-			return false
-		}
-		return true
-	})
-	return all
+	c.allYield = true
+	c.sched.EachQueued(c.visitYield)
+	return c.allYield
+}
+
+// yieldWaiter is onlyYieldWaitersQueued's visitor: it stops the walk at
+// the first queued task that is not an unreleased yield-waiter.
+func (c *Core) yieldWaiter(o *task.Task) bool {
+	if o.Cur.Kind != task.ExecYieldWait || o.Cur.Released {
+		c.allYield = false
+		return false
+	}
+	return true
 }
 
 // advanceCurrent moves the running task to its next program action.

@@ -160,14 +160,19 @@ func TestInvariantsRandomRuns(t *testing.T) {
 	for i := 0; i < draws; i++ {
 		o := drawOpts(rng)
 		rc := &residencyChecker{t: t, every: 500 * time.Microsecond}
+		var log *sim.TaskLog
 		setup := o.Setup
 		o.Setup = func(m *sim.Machine) {
+			log = sim.LogTasks(m)
 			if setup != nil {
 				setup(m)
 			}
 			m.AddActor(rc)
 		}
 		res := exp.Run(o)
+		if len(log.Tasks) < o.Spec.Threads {
+			t.Fatalf("draw %d: logged %d tasks, fewer than the app's %d threads", i, len(log.Tasks), o.Spec.Threads)
+		}
 
 		m := res.Machine
 		m.Sync()
@@ -179,7 +184,7 @@ func TestInvariantsRandomRuns(t *testing.T) {
 			t.Errorf("draw %d: residency checker never ran", i)
 		}
 
-		for _, tk := range m.Tasks() {
+		for _, tk := range log.Tasks {
 			alive := now - tk.StartedAt
 			if int64(tk.ExecTime) > alive {
 				t.Errorf("draw %d (%s on %s): task %q exec time %v exceeds its real time %v",
@@ -230,14 +235,19 @@ func TestInvariantsUnderPerturbation(t *testing.T) {
 		o.Perturb = drawPerturb(rng)
 		o.Limit = 500 * time.Second
 		rc := &residencyChecker{t: t, every: 500 * time.Microsecond}
+		var log *sim.TaskLog
 		setup := o.Setup
 		o.Setup = func(m *sim.Machine) {
+			log = sim.LogTasks(m)
 			if setup != nil {
 				setup(m)
 			}
 			m.AddActor(rc)
 		}
 		res := exp.Run(o)
+		if len(log.Tasks) < o.Spec.Threads {
+			t.Fatalf("draw %d: logged %d tasks, fewer than the app's %d threads", i, len(log.Tasks), o.Spec.Threads)
+		}
 
 		m := res.Machine
 		m.Sync()
@@ -246,7 +256,7 @@ func TestInvariantsUnderPerturbation(t *testing.T) {
 			t.Fatalf("perturbed draw %d (%s on %s): hit the time limit — a task was starved or lost",
 				i, o.Strategy, m.Topo.Name)
 		}
-		for _, tk := range m.Tasks() {
+		for _, tk := range log.Tasks {
 			if tk.Group == o.Spec.Name && tk.State != task.Done {
 				t.Errorf("perturbed draw %d (%s on %s): app task %q lost in state %v",
 					i, o.Strategy, m.Topo.Name, tk.Name, tk.State)

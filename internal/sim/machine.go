@@ -139,7 +139,18 @@ type shardState struct {
 	now   int64
 	stats Stats
 	live  int // delta: tasks exited in this shard during the window
-	_     [64]byte
+	// sleepFree holds the shard's idle sleep timers. A timer serves one
+	// timed sleep on a core of this shard and returns here when it
+	// fires, so only this shard's worker touches the list inside a
+	// window.
+	sleepFree []*sleepTimer
+	_         [64]byte
+}
+
+// sleepTimer is a reusable wake event for one timed sleep at a time.
+type sleepTimer struct {
+	ev *eventq.Event
+	t  *task.Task // the sleeper, nil while the timer is free
 }
 
 // Machine is the simulated multicore system.
@@ -148,10 +159,15 @@ type Machine struct {
 	Cores []*Core
 	Stats Stats
 
-	events    *eventq.Sharded
-	now       int64
-	rng       *xrand.RNG
+	events *eventq.Sharded
+	now    int64
+	rng    *xrand.RNG
+	// tasks holds the live tasks in creation order. A task that exits
+	// stays until the next compaction; exited counts those, so an exit
+	// costs amortized O(1) and nothing grows with the number of tasks
+	// ever created.
 	tasks     []*task.Task
+	exited    int
 	actors    []Actor
 	placer    Placer
 	idleFns   []func(c *Core)
@@ -167,12 +183,6 @@ type Machine struct {
 	tracer    trace.Tracer
 	metrics   *metrics.Registry
 	traceSeq  uint64
-	// sleepTimers holds one reusable wake event per task (indexed by
-	// task ID, grown on demand): timed sleeps and poll-wait backoffs are
-	// the highest-churn timers in the simulator, and a task has at most
-	// one outstanding sleep at a time, so each task's timer and callback
-	// closure are allocated exactly once.
-	sleepTimers []*eventq.Event
 
 	// Shard layout (fixed at New): socket-aligned so every SMT pair and
 	// memory domain lives inside one shard, keeping contention models
@@ -249,6 +259,7 @@ func New(tp *topo.Topology, cfg Config) *Machine {
 		// every dispatch, slice boundary and wait check, so each core owns
 		// one reusable event and reschedules it in place.
 		c.stopEv = eventq.NewEvent(func(now int64) { c.onStop() })
+		c.visitYield = c.yieldWaiter
 		m.Cores = append(m.Cores, c)
 	}
 	for _, c := range m.Cores {
@@ -397,8 +408,69 @@ func (m *Machine) RNG() *xrand.RNG {
 	return m.rng.Split()
 }
 
-// Tasks returns all tasks ever added, in creation order.
-func (m *Machine) Tasks() []*task.Task { return m.tasks }
+// Live returns the tasks created and not yet exited, in creation order:
+// len(Live()) == LiveTasks(). The machine forgets a task when it exits;
+// code that reads exited tasks after a run keeps its own list (see
+// TaskLog). The slice belongs to the machine and stays valid until the
+// next event fires or task starts. Live must not be called inside a
+// parallel shard window.
+func (m *Machine) Live() []*task.Task {
+	if m.window {
+		panic("sim: Live inside a parallel shard window")
+	}
+	m.dropExited()
+	return m.tasks
+}
+
+// dropExited removes exited tasks from the live list, keeping creation
+// order, and clears the vacated tail so the tasks can be collected.
+func (m *Machine) dropExited() {
+	if m.exited == 0 {
+		return
+	}
+	n := 0
+	for _, t := range m.tasks {
+		if t.State != task.Done {
+			m.tasks[n] = t
+			n++
+		}
+	}
+	clear(m.tasks[n:])
+	m.tasks = m.tasks[:n]
+	m.exited = 0
+}
+
+// trimExited compacts the live list once at least half of it has
+// exited, so each compaction walks at most twice the exits it removes.
+func (m *Machine) trimExited() {
+	if 2*m.exited >= len(m.tasks) {
+		m.dropExited()
+	}
+}
+
+// TaskLog lists every task a machine starts after the log is attached,
+// in creation order. The machine itself keeps only live tasks, so
+// checks and reports that read the accounting of exited tasks after a
+// run (fingerprints, invariant suites, occupancy charts) attach a log
+// before the tasks start.
+type TaskLog struct {
+	Tasks []*task.Task
+}
+
+// LogTasks attaches a TaskLog to m through OnTaskStart.
+func LogTasks(m *Machine) *TaskLog {
+	l := &TaskLog{}
+	m.OnTaskStart(func(t *task.Task) {
+		// Tasks usually start in creation order; insert from the end.
+		i := len(l.Tasks)
+		l.Tasks = append(l.Tasks, t)
+		for ; i > 0 && l.Tasks[i-1].ID > t.ID; i-- {
+			l.Tasks[i] = l.Tasks[i-1]
+		}
+		l.Tasks[i] = t
+	})
+	return l
+}
 
 // At schedules fn to run at absolute time at (clamped to now). The event
 // lands on the global control queue: it may touch any shard, so it is a
@@ -735,12 +807,6 @@ func (m *Machine) NewTask(name string, prog task.Program) *task.Task {
 	m.nextTask++
 	m.live++
 	m.tasks = append(m.tasks, t)
-	// Pre-grow the sleep-timer table here, at creation time, so the
-	// hot sleep path — which may run inside a parallel window — never
-	// appends to a machine-wide slice.
-	for len(m.sleepTimers) <= t.ID {
-		m.sleepTimers = append(m.sleepTimers, nil)
-	}
 	return t
 }
 
@@ -1011,28 +1077,46 @@ func (m *Machine) advance(t *task.Task) {
 }
 
 // sleepUntil takes a runnable/running task off its queue for a timed
-// sleep. The caller has already set t.Cur. Each task reuses one wake
-// timer: a sleeping task can only sleep again after its timer has fired
-// (nothing else wakes a timed sleeper), so one outstanding event per
-// task suffices and the steady-state path allocates nothing.
+// sleep. The caller has already set t.Cur. The wake event comes from
+// the free timers of the shard the task sleeps on and goes back there
+// when it fires: nothing but its timer wakes a timed sleeper, so a task
+// holds at most one timer, only while it sleeps, and the steady-state
+// path allocates nothing.
 func (m *Machine) sleepUntil(t *task.Task, wakeAt int64) {
 	m.offQueue(t, task.Sleeping)
 	if now := m.clock(t.CoreID); wakeAt < now {
 		wakeAt = now
 	}
-	ev := m.sleepTimers[t.ID]
-	if ev == nil {
-		ev = eventq.NewEvent(func(now int64) {
-			if t.State == task.Sleeping {
-				m.wake(t)
-			}
-		})
-		m.sleepTimers[t.ID] = ev
+	shard := m.shardOf[t.CoreID]
+	sh := &m.shardStates[shard]
+	var st *sleepTimer
+	if n := len(sh.sleepFree); n > 0 {
+		st = sh.sleepFree[n-1]
+		sh.sleepFree = sh.sleepFree[:n-1]
+	} else {
+		st = m.newSleepTimer(sh)
 	}
+	st.t = t
 	// The wake timer lives on the shard of the core the task sleeps on:
 	// the task will wake exactly there (or be redirected by a global
-	// hotplug event, which closes any window first).
-	m.events.Schedule(ev, int(m.shardOf[t.CoreID]), wakeAt)
+	// event — a cross-shard migration or hotplug — which closes any
+	// window first).
+	m.events.Schedule(st.ev, int(shard), wakeAt)
+}
+
+// newSleepTimer allocates a wake event that returns itself to sh's free
+// timers before it wakes its sleeper.
+func (m *Machine) newSleepTimer(sh *shardState) *sleepTimer {
+	st := &sleepTimer{}
+	st.ev = eventq.NewEvent(func(now int64) {
+		t := st.t
+		st.t = nil
+		sh.sleepFree = append(sh.sleepFree, st)
+		if t.State == task.Sleeping {
+			m.wake(t)
+		}
+	})
+	return st
 }
 
 // block takes a task off its queue until a Release.
@@ -1046,12 +1130,18 @@ func (m *Machine) exit(t *task.Task) {
 	m.offQueue(t, task.Done)
 	t.FinishedAt = m.clock(t.CoreID)
 	if m.window {
+		// The live list is machine-wide: the window's fold counts the
+		// exit, and the task is dropped after the window closes.
 		m.shardStates[m.shardOf[t.CoreID]].live++
 	} else {
 		m.live--
+		m.exited++
 	}
 	for _, fn := range m.doneFns {
 		fn(t)
+	}
+	if !m.window {
+		m.trimExited()
 	}
 }
 
@@ -1274,9 +1364,11 @@ func (m *Machine) runWindow(horizon int64) {
 			m.Stats.Migrations[label] += n
 		}
 		m.live -= sh.live
+		m.exited += sh.live
 		sh.stats = Stats{}
 		sh.live = 0
 	}
+	m.trimExited()
 }
 
 // drainShard is one window worker: it fires the shard's events in

@@ -175,20 +175,21 @@ func tigertonCGHotplug(m *sim.Machine) {
 
 // runContended builds the case's machine with cfg and runs it to the
 // horizon in 1 ms chunks, auditing the memos after every chunk.
-func runContended(t *testing.T, c contendedCase, cfg sim.Config, audit *memoAudit) *sim.Machine {
+func runContended(t *testing.T, c contendedCase, cfg sim.Config, audit *memoAudit) (*sim.Machine, *sim.TaskLog) {
 	cfg.NewScheduler = cfs.Factory()
 	m := sim.New(c.topo(), cfg)
+	log := sim.LogTasks(m)
 	audit.m = m
 	c.setup(m)
 	for m.Now() < int64(c.horizon) {
 		m.RunFor(time.Millisecond)
 		audit.check("chunk boundary")
 	}
-	return m
+	return m, log
 }
 
-func digest(m *sim.Machine) string {
-	sum := sha256.Sum256([]byte(difftest.Fingerprint(m)))
+func digest(m *sim.Machine, log *sim.TaskLog) string {
+	sum := sha256.Sum256([]byte(difftest.Fingerprint(m, log)))
 	return hex.EncodeToString(sum[:8])
 }
 
@@ -200,22 +201,22 @@ func TestDemandMemoNeverStale(t *testing.T) {
 	for _, c := range contendedCases {
 		t.Run(c.name, func(t *testing.T) {
 			audit := &memoAudit{t: t}
-			m := runContended(t, c, sim.Config{Seed: 7, Tracer: audit}, audit)
+			m, log := runContended(t, c, sim.Config{Seed: 7, Tracer: audit}, audit)
 			if audit.checks < 1000 {
 				t.Fatalf("only %d memo audits — the workload barely ran", audit.checks)
 			}
-			if got := digest(m); got != c.digest {
+			if got := digest(m, log); got != c.digest {
 				t.Errorf("traced end state digest %s, pinned %s", got, c.digest)
 			}
 			if !c.windowed {
 				return
 			}
 			audit = &memoAudit{t: t}
-			m = runContended(t, c, sim.Config{Seed: 7, Shards: 2, ShardParallel: true}, audit)
+			m, log = runContended(t, c, sim.Config{Seed: 7, Shards: 2, ShardParallel: true}, audit)
 			if m.Windows() == 0 {
 				t.Fatal("no parallel window opened")
 			}
-			if got := digest(m); got != c.digest {
+			if got := digest(m, log); got != c.digest {
 				t.Errorf("windowed end state digest %s, pinned %s", got, c.digest)
 			}
 		})

@@ -27,12 +27,13 @@ func shardCfg(seed uint64, shards int, par bool) sim.Config {
 }
 
 // fingerprint reduces a finished machine to every externally observable
-// quantity: per-task accounting, per-core utilisation, machine stats.
-func fingerprint(m *sim.Machine) string {
+// quantity: per-task accounting of every task in log (the run's tasks,
+// exited ones included), per-core utilisation, machine stats.
+func fingerprint(m *sim.Machine, log *sim.TaskLog) string {
 	s := fmt.Sprintf("now=%d ev=%d cs=%d wk=%d mig=%d live=%d\n",
 		m.Now(), m.Stats.Events, m.Stats.ContextSwitches, m.Stats.Wakeups,
 		m.Stats.TotalMigrations(), m.LiveTasks())
-	for _, t := range m.Tasks() {
+	for _, t := range log.Tasks {
 		s += fmt.Sprintf("task %d %s exec=%d work=%.9g mig=%d fin=%d core=%d st=%v\n",
 			t.ID, t.Name, t.ExecTime, t.WorkDone, t.Migrations, t.FinishedAt, t.CoreID, t.State)
 	}
@@ -84,21 +85,19 @@ func socketApps(m *sim.Machine, model spmd.Model, iters int) []*spmd.App {
 func TestShardCountInvariance(t *testing.T) {
 	for _, c := range []struct {
 		name string
-		run  func(shards int) (*sim.Machine, int)
+		run  func(shards int) (string, int)
 	}{
 		{"cfs", cfsCrossSocket},
 		{"dwrr", dwrrCrossSocket},
 		{"ule-hotplug", uleHotplugCrossSocket},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			m, events := c.run(1)
+			want, events := c.run(1)
 			if events == 0 {
 				t.Fatal("the workload never exercised the mechanism under test")
 			}
-			want := fingerprint(m)
 			for _, shards := range []int{2, 4} {
-				m, _ := c.run(shards)
-				if got := fingerprint(m); got != want {
+				if got, _ := c.run(shards); got != want {
 					t.Errorf("shards=%d diverged from shards=1:\n%s", shards, diffLines(want, got))
 				}
 			}
@@ -106,10 +105,11 @@ func TestShardCountInvariance(t *testing.T) {
 	}
 }
 
-// cfsCrossSocket runs two full-machine CFS apps on Tigerton and reports
-// the run's wakeups.
-func cfsCrossSocket(shards int) (*sim.Machine, int) {
+// cfsCrossSocket runs two full-machine CFS apps on Tigerton and returns
+// the run's fingerprint and wakeups.
+func cfsCrossSocket(shards int) (string, int) {
 	m := sim.New(topo.Tigerton(), shardCfg(7, shards, false))
+	log := sim.LogTasks(m)
 	app := spmd.Build(m, spmd.Spec{
 		Name: "a", Threads: 24, Iterations: 6,
 		WorkPerIteration: float64(200 * time.Microsecond),
@@ -126,16 +126,18 @@ func cfsCrossSocket(shards int) (*sim.Machine, int) {
 	})
 	b.Start()
 	m.Run(int64(50 * time.Millisecond))
-	return m, m.Stats.Wakeups
+	return fingerprint(m, log), m.Stats.Wakeups
 }
 
 // dwrrCrossSocket oversubscribes Tigerton under DWRR for several
-// 100 ms rounds and reports the round-balancing steals.
-func dwrrCrossSocket(shards int) (*sim.Machine, int) {
+// 100 ms rounds and returns the run's fingerprint and round-balancing
+// steals.
+func dwrrCrossSocket(shards int) (string, int) {
 	cfg := shardCfg(17, shards, false)
 	var g *dwrr.Global
 	cfg.NewScheduler, g = dwrr.NewFactory(dwrr.DefaultConfig())
 	m := sim.New(topo.Tigerton(), cfg)
+	log := sim.LogTasks(m)
 	app := spmd.Build(m, spmd.Spec{
 		Name: "a", Threads: 20, Iterations: 8,
 		WorkPerIteration: float64(30 * time.Millisecond),
@@ -144,14 +146,15 @@ func dwrrCrossSocket(shards int) (*sim.Machine, int) {
 	})
 	app.Start()
 	m.Run(int64(600 * time.Millisecond))
-	return m, g.Steals()
+	return fingerprint(m, log), g.Steals()
 }
 
 // uleHotplugCrossSocket runs an oversubscribed app under the ULE
-// balancer while cores go offline and come back, and reports the
-// injected unplugs.
-func uleHotplugCrossSocket(shards int) (*sim.Machine, int) {
+// balancer while cores go offline and come back, and returns the run's
+// fingerprint and injected unplugs.
+func uleHotplugCrossSocket(shards int) (string, int) {
 	m := sim.New(topo.Tigerton(), shardCfg(29, shards, false))
+	log := sim.LogTasks(m)
 	m.AddActor(ule.Default())
 	in := perturb.New(perturb.Config{Hotplug: perturb.HotplugConfig{
 		Interval: 40 * time.Millisecond, OffTime: 25 * time.Millisecond,
@@ -166,7 +169,7 @@ func uleHotplugCrossSocket(shards int) (*sim.Machine, int) {
 	})
 	app.Start()
 	m.Run(int64(2 * time.Second))
-	return m, in.Hotplugs
+	return fingerprint(m, log), in.Hotplugs
 }
 
 // TestParallelWindowInvariance proves the headline property: with a
@@ -180,9 +183,10 @@ func TestParallelWindowInvariance(t *testing.T) {
 		t.Run(model.Name, func(t *testing.T) {
 			run := func(shards int, par bool) string {
 				m := sim.New(topo.Fabric(4, 4), shardCfg(11, shards, par))
+				log := sim.LogTasks(m)
 				socketApps(m, model, 8)
 				m.Run(int64(40 * time.Millisecond))
-				return fingerprint(m)
+				return fingerprint(m, log)
 			}
 			want := run(1, false)
 			for _, c := range []struct {
@@ -237,8 +241,8 @@ func TestWindowBlockedByWideAffinity(t *testing.T) {
 
 // TestSleepTimerFollowsShard: a task that sleeps, migrates across
 // sockets while asleep (balancer-style Migrate on a sleeping task), and
-// wakes must wake on the destination shard's queue with its one reusable
-// timer intact.
+// wakes must still wake: its timer stays on the source shard's queue and
+// the wake enqueues on the destination.
 func TestSleepTimerFollowsShard(t *testing.T) {
 	m := sim.New(topo.Tigerton(), shardCfg(3, 4, false))
 	tk := m.NewTask("sleeper", &task.Seq{Actions: []task.Action{
@@ -270,6 +274,7 @@ func TestSleepTimerFollowsShard(t *testing.T) {
 func TestSimultaneousMigrationsIntoShard(t *testing.T) {
 	run := func(shards int) string {
 		m := sim.New(topo.Tigerton(), shardCfg(5, shards, false))
+		log := sim.LogTasks(m)
 		var tasks []*task.Task
 		for i := 0; i < 6; i++ {
 			tk := m.NewTask(fmt.Sprintf("w%d", i), hog(500*time.Microsecond))
@@ -284,7 +289,7 @@ func TestSimultaneousMigrationsIntoShard(t *testing.T) {
 			}
 		})
 		m.Run(int64(20 * time.Millisecond))
-		return fingerprint(m)
+		return fingerprint(m, log)
 	}
 	want := run(1)
 	for _, shards := range []int{2, 4} {
@@ -301,6 +306,7 @@ func TestSimultaneousMigrationsIntoShard(t *testing.T) {
 func TestMigrationAtSyncHorizon(t *testing.T) {
 	run := func(shards int) string {
 		m := sim.New(topo.Tigerton(), shardCfg(9, shards, false))
+		log := sim.LogTasks(m)
 		tk := m.NewTask("mover", hog(time.Millisecond))
 		m.StartOn(tk, 0)
 		other := m.NewTask("peer", hog(time.Millisecond))
@@ -311,7 +317,7 @@ func TestMigrationAtSyncHorizon(t *testing.T) {
 			m.MigrateNow(tk, 14, "test")
 		})
 		m.Run(int64(15 * time.Millisecond))
-		return fingerprint(m)
+		return fingerprint(m, log)
 	}
 	want := run(1)
 	for _, shards := range []int{2, 4} {
@@ -328,6 +334,7 @@ func TestMigrationAtSyncHorizon(t *testing.T) {
 func TestHotplugMidMigrationSharded(t *testing.T) {
 	run := func(shards int) string {
 		m := sim.New(topo.Tigerton(), shardCfg(13, shards, false))
+		log := sim.LogTasks(m)
 		tk := m.NewTask("victim", &task.Seq{Actions: []task.Action{
 			task.Compute(float64(100 * time.Microsecond)),
 			task.Sleep(4 * time.Millisecond),
@@ -349,7 +356,7 @@ func TestHotplugMidMigrationSharded(t *testing.T) {
 		if !m.Cores[13].Online() && tk.CoreID == 13 {
 			t.Fatalf("victim finished on the offline core")
 		}
-		return fingerprint(m)
+		return fingerprint(m, log)
 	}
 	want := run(1)
 	for _, shards := range []int{2, 4} {

@@ -232,7 +232,7 @@ func TestWorkConservation(t *testing.T) {
 	end := m.Run(int64(10 * time.Second))
 	m.Sync()
 	var total time.Duration
-	for _, tk := range m.Tasks() {
+	for _, tk := range app.Tasks {
 		total += tk.ExecTime
 	}
 	if limit := time.Duration(end) * 4; total > limit {

@@ -45,6 +45,7 @@ func TestPropertyGlobalInvariants(t *testing.T) {
 		}[int(balRaw>>4)%4]
 
 		m := sim.New(topo.SMP(cores), sim.Config{Seed: seed, NewScheduler: cfs.Factory()})
+		log := sim.LogTasks(m)
 		switch balRaw % 3 {
 		case 0:
 			m.AddActor(linuxlb.Default())
@@ -68,8 +69,11 @@ func TestPropertyGlobalInvariants(t *testing.T) {
 			return false
 		}
 		m.Sync()
+		if len(log.Tasks) != threads {
+			return false
+		}
 		var total time.Duration
-		for _, tk := range m.Tasks() {
+		for _, tk := range log.Tasks {
 			total += tk.ExecTime
 			if tk.Group == app.Spec.Name {
 				if tk.WorkDone != float64(iters)*work {

@@ -14,7 +14,7 @@ import (
 
 // tracedRun executes a small contended workload and returns the machine
 // plus whatever the tracer captured (nil tracer/metrics allowed).
-func tracedRun(t *testing.T, tr trace.Tracer, reg *metrics.Registry) *sim.Machine {
+func tracedRun(t *testing.T, tr trace.Tracer, reg *metrics.Registry) (*sim.Machine, *sim.TaskLog) {
 	t.Helper()
 	m := sim.New(topo.SMP(2), sim.Config{
 		Seed:         1,
@@ -22,6 +22,7 @@ func tracedRun(t *testing.T, tr trace.Tracer, reg *metrics.Registry) *sim.Machin
 		Tracer:       tr,
 		Metrics:      reg,
 	})
+	log := sim.LogTasks(m)
 	// Three compute tasks on two cores force queueing, timeslice
 	// rotations and run stints; a sleep exercises the wakeup path.
 	for i := 0; i < 3; i++ {
@@ -33,7 +34,7 @@ func tracedRun(t *testing.T, tr trace.Tracer, reg *metrics.Registry) *sim.Machin
 		m.Start(tk)
 	}
 	m.Run(int64(time.Second))
-	return m
+	return m, log
 }
 
 func TestMachineEmitsTraceEvents(t *testing.T) {
@@ -76,15 +77,18 @@ func TestMachineEmitsTraceEvents(t *testing.T) {
 // scheduling outcomes.
 func TestTracingDoesNotPerturbRun(t *testing.T) {
 	ring := trace.NewRing(1 << 12)
-	traced := tracedRun(t, ring, metrics.NewRegistry())
-	plain := tracedRun(t, nil, nil)
+	traced, tracedLog := tracedRun(t, ring, metrics.NewRegistry())
+	plain, plainLog := tracedRun(t, nil, nil)
 	if traced.Stats.ContextSwitches != plain.Stats.ContextSwitches ||
 		traced.Stats.Wakeups != plain.Stats.Wakeups ||
 		traced.Stats.Events != plain.Stats.Events {
 		t.Errorf("traced run diverged: %+v vs %+v", traced.Stats, plain.Stats)
 	}
-	for i := range traced.Tasks() {
-		a, b := traced.Tasks()[i], plain.Tasks()[i]
+	if len(tracedLog.Tasks) != 3 || len(plainLog.Tasks) != 3 {
+		t.Fatalf("runs started %d and %d tasks, want 3", len(tracedLog.Tasks), len(plainLog.Tasks))
+	}
+	for i := range tracedLog.Tasks {
+		a, b := tracedLog.Tasks[i], plainLog.Tasks[i]
 		if a.ExecTime != b.ExecTime || a.FinishedAt != b.FinishedAt {
 			t.Errorf("task %d diverged: exec %v/%v finished %d/%d",
 				i, a.ExecTime, b.ExecTime, a.FinishedAt, b.FinishedAt)

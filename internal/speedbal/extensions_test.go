@@ -136,11 +136,13 @@ func TestDynamicRescanAdoptsNewThreads(t *testing.T) {
 	sb := speedbal.New(cfg)
 	m.AddActor(sb)
 
+	var dyn []*task.Task
 	mk := func(i int) *task.Task {
 		tk := m.NewTask(fmt.Sprintf("dyn.%d", i), &task.Seq{Actions: []task.Action{
 			task.Compute(3e9),
 		}})
 		tk.Group = "dyn"
+		dyn = append(dyn, tk)
 		return tk
 	}
 	// Two threads at t=0, a third at t=500ms — all forked onto core 0
@@ -161,16 +163,11 @@ func TestDynamicRescanAdoptsNewThreads(t *testing.T) {
 	}
 	m.Sync()
 	// Fairness: all three threads make comparable progress.
-	var min, max time.Duration
-	for i, tk := range []*task.Task{t0, t1} {
-		_ = i
-		_ = tk
+	if len(dyn) != 3 {
+		t.Fatalf("created %d threads, want 3", len(dyn))
 	}
-	min, max = 0, 0
-	for i, tk := range m.Tasks() {
-		if tk.Group != "dyn" {
-			continue
-		}
+	var min, max time.Duration
+	for i, tk := range dyn {
 		if i == 0 || tk.ExecTime < min || min == 0 {
 			min = tk.ExecTime
 		}

@@ -207,9 +207,10 @@ type Balancer struct {
 	coreIdx map[int]int
 	// liveManaged counts managed threads not yet Done (O(1) allDone).
 	liveManaged int
-	// scanned is the rescan cursor into Machine.Tasks(): tasks are
-	// append-only and their Group is fixed at creation, so each rescan
-	// only needs to look at tasks created since the previous one.
+	// scanned is the rescan cursor: every task with a lower ID has been
+	// looked at. Machine.Live lists tasks in creation (ID) order and a
+	// task's Group is fixed at creation, so each rescan only needs to
+	// look at tasks created since the previous one.
 	scanned int
 	// wakeTimers[j] is core index j's reusable balancer-wake timer.
 	wakeTimers []*sim.Timer
@@ -623,8 +624,12 @@ func (b *Balancer) wake(j int, now int64) {
 // gets). Tasks are created in order and never change group, so only
 // those that appeared since the last rescan need looking at.
 func (b *Balancer) rescan(now int64) {
-	tasks := b.m.Tasks()
-	for _, t := range tasks[b.scanned:] {
+	tasks := b.m.Live()
+	i := len(tasks)
+	for i > 0 && tasks[i-1].ID >= b.scanned {
+		i--
+	}
+	for _, t := range tasks[i:] {
 		if t.Group != b.cfg.RescanGroup || t.State == task.Done {
 			continue
 		}
@@ -643,7 +648,9 @@ func (b *Balancer) rescan(now int64) {
 			}
 		}
 	}
-	b.scanned = len(tasks)
+	if len(tasks) > 0 {
+		b.scanned = tasks[len(tasks)-1].ID + 1
+	}
 }
 
 // adoptionCore picks where a freshly adopted thread is pinned: the

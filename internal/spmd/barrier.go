@@ -26,6 +26,11 @@ type Barrier struct {
 	arrived int
 	gen     int
 	waiters []*task.Task
+	// released is the buffer of the previous episode's waiters. Arrive
+	// swaps the two buffers at every release, so waiters that arrive
+	// while others are still being released land in the other one and
+	// a steady barrier never allocates.
+	released []*task.Task
 	// arrivedAt mirrors waiters with each waiter's arrival time, feeding
 	// the barrier-wait histogram when the machine collects metrics.
 	arrivedAt []int64
@@ -85,11 +90,13 @@ func (b *Barrier) Arrive(t *task.Task, w task.Waker) bool {
 			Task: t.ID, TaskName: t.Name, N: b.n})
 	}
 	ws := b.waiters
-	b.waiters = nil
+	b.waiters = b.released[:0]
 	b.arrivedAt = b.arrivedAt[:0]
 	for _, wt := range ws {
 		w.Release(wt)
 	}
+	clear(ws)
+	b.released = ws[:0]
 	return true
 }
 

@@ -63,6 +63,11 @@ type Balancer struct {
 	domain cpuset.Set
 	// pushTimer is the reusable push-balancer timer.
 	pushTimer *sim.Timer
+	// steals[j] is steal's search state for pulls into core j, with its
+	// visitor bound once at Start so a steal allocates nothing. It is
+	// per core because a domain contained in one shard balances inside
+	// parallel windows, on the worker of the destination core's shard.
+	steals []stealScan
 
 	// Pushes and Pulls count balancing actions.
 	Pushes, Pulls int
@@ -94,6 +99,13 @@ func (b *Balancer) Start(m *sim.Machine) {
 	if b.domain.Empty() {
 		b.domain = m.Topo.AllCores()
 	}
+	b.steals = make([]stealScan, len(m.Cores))
+	b.domain.ForEach(func(id int) bool {
+		sc := &b.steals[id]
+		sc.dst = id
+		sc.visit = sc.consider
+		return true
+	})
 	m.OnIdle(b.idled)
 	fn := func(now int64) {
 		b.push(now)
@@ -180,15 +192,28 @@ func (b *Balancer) traceSkip(core int, label, reason string) {
 		Label: label, Reason: reason})
 }
 
-// steal picks a migratable queued thread from src that may run on dst.
+// steal picks a migratable queued thread from src that may run on dst,
+// a domain core.
 func (b *Balancer) steal(src *sim.Core, dst int) *task.Task {
-	var pick *task.Task
-	src.Scheduler().EachQueued(func(t *task.Task) bool {
-		if t.Affinity.Has(dst) {
-			pick = t
-			return false
-		}
-		return true
-	})
+	sc := &b.steals[dst]
+	src.Scheduler().EachQueued(sc.visit)
+	pick := sc.pick
+	sc.pick = nil
 	return pick
+}
+
+// stealScan is steal's search state for one destination core.
+type stealScan struct {
+	dst   int
+	pick  *task.Task
+	visit func(t *task.Task) bool
+}
+
+// consider picks the first queued thread allowed on dst.
+func (sc *stealScan) consider(t *task.Task) bool {
+	if t.Affinity.Has(sc.dst) {
+		sc.pick = t
+		return false
+	}
+	return true
 }
