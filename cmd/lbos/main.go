@@ -33,9 +33,10 @@
 //	             experiments that configure prediction themselves
 //	-q           suppress progress logging
 //
-// run rejects -reps or -scale below 1 and -parallel below 0 with exit
-// status 2 before any experiment starts, and exits 1 when a -csv or
-// -trace file cannot be written.
+// run rejects -reps or -scale below 1, -parallel below 0, an unknown
+// -perturb family and an unknown experiment ID with one "lbos: " line
+// and exit status 2 before any experiment starts, and exits 1 when a
+// -csv or -trace file cannot be written.
 package main
 
 import (
@@ -111,7 +112,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	pcfg, err := perturb.Parse(*perturbSpec)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
+		fmt.Fprintf(stderr, "lbos: %v\n", err)
 		return 2
 	}
 
@@ -127,8 +128,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		for _, id := range ids {
 			e, err := exp.ByID(id)
 			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
+				fmt.Fprintf(stderr, "lbos: %v\n", err)
+				return 2
 			}
 			exps = append(exps, e)
 		}

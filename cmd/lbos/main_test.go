@@ -8,10 +8,12 @@ import (
 	"testing"
 )
 
-// TestRunRejectsBadDials: a dial no run can use exits 2 with one stderr
-// line naming the flag, before any experiment starts (no table header
-// on stdout). Unchecked, -scale 0 divides by zero inside the open-system
-// drivers and -reps 0 tabulates zeros.
+// TestRunRejectsBadDials: a dial no run can use, an unknown -perturb
+// family or an unknown experiment ID exits 2 with one "lbos: " stderr
+// line naming it, before any experiment starts (no table header on
+// stdout, even when a valid ID comes first). Unchecked, -scale 0
+// divides by zero inside the open-system experiments and -reps 0
+// tabulates zeros.
 func TestRunRejectsBadDials(t *testing.T) {
 	for _, c := range []struct{ args, flag string }{
 		{"-scale 0 open-bakeoff", "-scale 0"},
@@ -22,6 +24,9 @@ func TestRunRejectsBadDials(t *testing.T) {
 		{"-parallel -4 fig1", "-parallel -4"},
 		// Bounds are checked in the order reps, scale, parallel.
 		{"-parallel -1 -scale 0 -reps 0 fig1", "-reps 0"},
+		{"nosuch", `exp: unknown experiment "nosuch"`},
+		{"fig1 nosuch", `exp: unknown experiment "nosuch"`},
+		{"-perturb bogus fig1", `perturb: unknown family "bogus"`},
 	} {
 		var out, errb bytes.Buffer
 		if code := run(strings.Fields(c.args), &out, &errb); code != 2 {

@@ -112,10 +112,17 @@ func runOpenCell(p openPolicy, o openCellOpts) openCellOut {
 		// fixed regardless of which families are on.
 		m.AddActor(perturb.New(o.perturb))
 	}
+	var out openCellOut
 	g := openload.New(openload.Config{
 		Rho:        o.rho,
 		Horizon:    o.horizon,
 		FixedAlloc: p.equi,
+		OnJobDone: func(r openload.Record) {
+			out.sojournsMs = append(out.sojournsMs, float64(r.Sojourn)/1e6)
+			if r.Wakes > 0 {
+				out.wakesUs = append(out.wakesUs, float64(r.WakeMean)/1e3)
+			}
+		},
 	})
 	m.AddActor(g)
 	// Run past the horizon so the backlog drains; a stable system
@@ -123,17 +130,11 @@ func runOpenCell(p openPolicy, o openCellOpts) openCellOut {
 	// does not is reported in the table's unfinished column rather than
 	// silently truncated out of the percentiles.
 	m.Run(int64(3*o.horizon) + int64(2*time.Second))
-	out := openCellOut{admitted: g.Admitted, unfinished: g.Unfinished()}
+	out.admitted, out.unfinished = g.Admitted, g.Unfinished()
 	if sb != nil {
 		out.predictPulls = sb.PredictPulls
 		out.predictHits = sb.PredictHits
 		out.predictMisses = sb.PredictMisses
-	}
-	for _, r := range g.Records {
-		out.sojournsMs = append(out.sojournsMs, float64(r.Sojourn)/1e6)
-		if r.Wakes > 0 {
-			out.wakesUs = append(out.wakesUs, float64(r.WakeMean)/1e3)
-		}
 	}
 	return out
 }

@@ -14,16 +14,17 @@
 // of every other class — adding a class appends a split and perturbs no
 // existing schedule. Arrivals fire from timers on the global control
 // queue: task admission is a machine-global event and never happens
-// inside a parallel shard window. The generator's job table and record
-// list are machine-global too, and task-exit hooks can otherwise fire
-// on shard workers, so Start calls Machine.BlockWindows — the sharded
-// event queue and its deterministic merge stay active, only the
-// parallel drain is withheld (exactly the posture exp.Run takes for its
-// own machine-global completion hook).
+// inside a parallel shard window. The generator's job table and its
+// completion hook (Config.OnJobDone) are machine-global too, and
+// task-exit hooks can otherwise fire on shard workers, so Start calls
+// Machine.BlockWindows — the sharded event queue and its deterministic
+// merge stay active, only the parallel drain is withheld (exactly the
+// posture exp.Run takes for its own machine-global completion hook).
 package openload
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/cpuset"
@@ -87,6 +88,12 @@ type Config struct {
 	// EQUI-style static-allocation baseline against which the
 	// balancers' dynamic placement is scored.
 	FixedAlloc bool
+	// OnJobDone, when set, receives each completed job's record, once
+	// per job in completion order (deterministic: exits retire in
+	// merged event order at any shard count). The generator keeps no
+	// record itself, so a caller that wants the records keeps them and
+	// an endless run holds memory only for its live jobs.
+	OnJobDone func(Record)
 }
 
 // DefaultClasses is the bakeoff mix: interactive bursts dominate the
@@ -145,12 +152,10 @@ type Gen struct {
 	steps [][]task.Action
 
 	jobs   map[*task.Task]*job
-	cursor int // FixedAlloc round-robin core cursor
+	cores  []int // FixedAlloc's round-robin core order (nil otherwise)
+	cursor int   // FixedAlloc round-robin core cursor
 	nextID int
 
-	// Records lists completed jobs in completion order (deterministic:
-	// exits retire in merged event order at any shard count).
-	Records []Record
 	// Admitted and Completed count jobs; their difference is the
 	// in-flight (or abandoned-at-horizon) population.
 	Admitted, Completed int
@@ -209,6 +214,9 @@ func (g *Gen) Start(m *sim.Machine) {
 	var capacity float64
 	for _, c := range m.Topo.Cores {
 		capacity += c.BaseSpeed
+	}
+	if g.cfg.FixedAlloc {
+		g.cores = m.Topo.AllCores().Cores()
 	}
 	g.endAt = int64(^uint64(0) >> 1)
 	if g.cfg.Horizon > 0 {
@@ -269,14 +277,13 @@ func (g *Gen) admit(k int, now int64) {
 
 	body := g.jobBody(k)
 	for i := 0; i < threads; i++ {
-		t := g.m.NewTask(fmt.Sprintf("%s.%d.%d", c.Name, id, i), program(c, body))
+		t := g.m.NewTask(threadName(c.Name, id, i), program(c, body))
 		t.Group = Group
 		t.Nice = c.Nice
 		t.Sched.Weight = task.NiceWeight(c.Nice)
 		g.jobs[t] = j
 		if g.cfg.FixedAlloc {
-			cores := g.m.Topo.AllCores().Cores()
-			core := cores[g.cursor%len(cores)]
+			core := g.cores[g.cursor%len(g.cores)]
 			g.cursor++
 			t.Affinity = cpuset.Of(core)
 			g.m.StartOn(t, core)
@@ -285,6 +292,19 @@ func (g *Gen) admit(k int, now int64) {
 		}
 	}
 	g.Admitted++
+}
+
+// threadName is fmt.Sprintf("%s.%d.%d", class, job, thread) built with
+// one allocation, the string's own. Names reach traces and
+// fingerprints, so the bytes are the Sprintf bytes.
+func threadName(class string, job, thread int) string {
+	var buf [64]byte
+	b := append(buf[:0], class...)
+	b = append(b, '.')
+	b = strconv.AppendInt(b, int64(job), 10)
+	b = append(b, '.')
+	b = strconv.AppendInt(b, int64(thread), 10)
+	return string(b)
 }
 
 // jobBody is the action list every thread of one class-k job runs: the
@@ -313,8 +333,8 @@ func program(c *Class, body []task.Action) task.Program {
 	return &task.Seq{Actions: body}
 }
 
-// taskDone folds a finished thread into its job, emitting the job's
-// record when the last thread departs.
+// taskDone folds a finished thread into its job, handing the job's
+// record to Config.OnJobDone when the last thread departs.
 func (g *Gen) taskDone(t *task.Task) {
 	j, ok := g.jobs[t]
 	if !ok {
@@ -348,8 +368,10 @@ func (g *Gen) taskDone(t *task.Task) {
 	if j.wakeN > 0 {
 		rec.WakeMean = time.Duration(j.wakeSum / int64(j.wakeN))
 	}
-	g.Records = append(g.Records, rec)
 	g.Completed++
+	if g.cfg.OnJobDone != nil {
+		g.cfg.OnJobDone(rec)
+	}
 	if reg := g.m.Metrics(); reg != nil {
 		reg.Histogram("openload.sojourn_ns", sojournBuckets).Observe(float64(rec.Sojourn))
 		if j.wakeN > 0 {

@@ -23,20 +23,36 @@ func newMachine(seed uint64, shards int, par bool) *sim.Machine {
 	})
 }
 
-// run drives one open workload to drain: arrivals stop at the horizon
-// and the run continues until every admitted job departs.
-func run(seed uint64, cfg openload.Config, shards int, par bool) *openload.Gen {
-	m := newMachine(seed, shards, par)
-	m.AddActor(linuxlb.Default())
-	g := openload.New(cfg)
-	m.AddActor(g)
-	m.Run(int64(time.Hour))
-	return g
+// result is one drained run: the generator and the records its
+// completion hook received, in the order it received them.
+type result struct {
+	*openload.Gen
+	records []openload.Record
 }
 
-func fingerprint(g *openload.Gen) string {
+// newResult builds a generator whose completion hook appends to the
+// result's records.
+func newResult(cfg openload.Config) *result {
+	res := &result{}
+	cfg.OnJobDone = func(r openload.Record) { res.records = append(res.records, r) }
+	res.Gen = openload.New(cfg)
+	return res
+}
+
+// run drives one open workload to drain: arrivals stop at the horizon
+// and the run continues until every admitted job departs.
+func run(seed uint64, cfg openload.Config, shards int, par bool) *result {
+	m := newMachine(seed, shards, par)
+	m.AddActor(linuxlb.Default())
+	res := newResult(cfg)
+	m.AddActor(res.Gen)
+	m.Run(int64(time.Hour))
+	return res
+}
+
+func fingerprint(g *result) string {
 	s := fmt.Sprintf("admitted=%d completed=%d\n", g.Admitted, g.Completed)
-	for _, r := range g.Records {
+	for _, r := range g.records {
 		s += fmt.Sprintf("%s %d %d %d %d %d\n",
 			r.Class, r.ArrivedAt, r.Sojourn, r.FirstRun, r.WakeMean, r.WakeMax)
 	}
@@ -54,12 +70,19 @@ func TestDrainsAfterHorizon(t *testing.T) {
 	if g.Unfinished() != 0 {
 		t.Errorf("%d of %d jobs unfinished after drain", g.Unfinished(), g.Admitted)
 	}
-	if len(g.Records) != g.Completed {
-		t.Errorf("records %d != completed %d", len(g.Records), g.Completed)
+	if len(g.records) != g.Completed {
+		t.Errorf("records %d != completed %d", len(g.records), g.Completed)
 	}
 	classes := map[string]int{}
-	for _, r := range g.Records {
+	var lastDone int64
+	for _, r := range g.records {
 		classes[r.Class]++
+		// The hook fires at each job's departure, in completion order.
+		done := r.ArrivedAt + int64(r.Sojourn)
+		if done < lastDone {
+			t.Fatalf("%s job departing at %d reported after one departing at %d", r.Class, done, lastDone)
+		}
+		lastDone = done
 		if r.Sojourn <= 0 {
 			t.Fatalf("non-positive sojourn %v for %s job", r.Sojourn, r.Class)
 		}
@@ -114,9 +137,9 @@ func TestClassStreamIndependence(t *testing.T) {
 	// Records land in completion order, which the extra class's CPU
 	// competition legitimately reshuffles; the invariant is the arrival
 	// schedule, so compare the sorted arrival times.
-	arrivals := func(g *openload.Gen, class string) []int64 {
+	arrivals := func(g *result, class string) []int64 {
 		var at []int64
-		for _, r := range g.Records {
+		for _, r := range g.records {
 			if r.Class == class {
 				at = append(at, r.ArrivedAt)
 			}
@@ -151,8 +174,8 @@ func TestFixedAllocPinsThreads(t *testing.T) {
 	m := newMachine(17, 0, false)
 	log := sim.LogTasks(m)
 	m.AddActor(linuxlb.Default())
-	g := openload.New(openload.Config{Rho: 0.6, Horizon: time.Second, FixedAlloc: true})
-	m.AddActor(g)
+	g := newResult(openload.Config{Rho: 0.6, Horizon: time.Second, FixedAlloc: true})
+	m.AddActor(g.Gen)
 	m.Run(int64(time.Hour))
 	if g.Unfinished() != 0 {
 		t.Fatalf("%d jobs unfinished", g.Unfinished())
@@ -162,11 +185,11 @@ func TestFixedAllocPinsThreads(t *testing.T) {
 		threads[c.Name] = max(c.Threads, 1)
 	}
 	want := 0
-	for _, r := range g.Records {
+	for _, r := range g.records {
 		want += threads[r.Class]
 	}
 	if len(log.Tasks) != want {
-		t.Fatalf("logged %d tasks, want the %d threads of %d jobs", len(log.Tasks), want, len(g.Records))
+		t.Fatalf("logged %d tasks, want the %d threads of %d jobs", len(log.Tasks), want, len(g.records))
 	}
 	for _, tk := range log.Tasks {
 		if tk.Group != openload.Group {
@@ -196,10 +219,10 @@ func TestSingleJobRecordAggregation(t *testing.T) {
 	if g.Admitted != 1 {
 		t.Fatalf("admitted %d jobs, the test needs exactly 1 — seed drifted?", g.Admitted)
 	}
-	if len(g.Records) != 1 || g.Unfinished() != 0 {
-		t.Fatalf("records=%d unfinished=%d, want 1 completed record", len(g.Records), g.Unfinished())
+	if len(g.records) != 1 || g.Unfinished() != 0 {
+		t.Fatalf("records=%d unfinished=%d, want 1 completed record", len(g.records), g.Unfinished())
 	}
-	r := g.Records[0]
+	r := g.records[0]
 	if r.Sojourn <= 0 {
 		t.Errorf("non-positive sojourn %v", r.Sojourn)
 	}

@@ -24,10 +24,15 @@
 //     horizon-extrapolated speeds and slowest-core bounds out.
 //
 // Determinism: everything here is pure float64 arithmetic over the
-// sampled speeds — no RNG, no wall clock, no map on any decision path.
-// math.Erf, like the math.Log/math.Sqrt the RNG layer already relies
-// on, is a tightly-specified pure-Go implementation, so predictions are
-// bit-identical across platforms and engine configurations.
+// sampled speeds — no RNG, no wall clock, no map on any decision path —
+// so on one architecture predictions are bit-identical across engine
+// configurations. Across architectures they can differ: on targets with
+// fused multiply-add (arm64, ppc64le, s390x, riscv64, loong64) the
+// compiler fuses products in the pure-Go math.Erf and in this
+// package's own arithmetic, and amd64's math.Exp is assembly whose
+// last bit differs, on some inputs, from the pure-Go code other
+// targets run. ROADMAP.md item 3 ("Portable determinism") tracks the
+// fix.
 //
 // Degeneracy contract: Predicted extrapolates the *last realized
 // sample* by the decayed trend, so a zero horizon returns the realized
@@ -166,16 +171,20 @@ func (d Dist) CDF(x float64) float64 {
 // other X_j stays above it. The bound is exact in the limit of
 // well-separated distributions and conservative otherwise; the sum over
 // i never exceeds 1. out must have len(ds); it is returned for
-// convenience. With fewer than two distributions the bound is 1 for the
-// lone entry (it is trivially the slowest) or empty.
-func SlowestLowerBounds(ds []Dist, out []float64) []float64 {
-	return extremeLowerBounds(ds, out, false)
+// convenience. scratch must have at least 2·len(ds) entries; it holds
+// the per-distribution log terms, so a caller that keeps out and
+// scratch across calls allocates nothing. With fewer than two
+// distributions the bound is 1 for the lone entry (it is trivially the
+// slowest) or empty.
+func SlowestLowerBounds(ds []Dist, out, scratch []float64) []float64 {
+	return extremeLowerBounds(ds, out, scratch, false)
 }
 
 // FastestLowerBounds is the mirror: a lower bound on the probability
 // that X_i is the maximum — X_i above the midpoint, every other below.
-func FastestLowerBounds(ds []Dist, out []float64) []float64 {
-	return extremeLowerBounds(ds, out, true)
+// out and scratch are as for SlowestLowerBounds.
+func FastestLowerBounds(ds []Dist, out, scratch []float64) []float64 {
+	return extremeLowerBounds(ds, out, scratch, true)
 }
 
 // extremeLowerBounds implements both bounds with the midpoint-split
@@ -183,7 +192,7 @@ func FastestLowerBounds(ds []Dist, out []float64) []float64 {
 // an exchange of the candidate's own term. Zero probabilities (−inf
 // logs) are counted out of the shared sum so a certain distribution
 // does not poison every other bound with NaNs.
-func extremeLowerBounds(ds []Dist, out []float64, fastest bool) []float64 {
+func extremeLowerBounds(ds []Dist, out, scratch []float64, fastest bool) []float64 {
 	n := len(ds)
 	if n == 0 {
 		return out[:0]
@@ -200,8 +209,7 @@ func extremeLowerBounds(ds []Dist, out []float64, fastest bool) []float64 {
 	c /= float64(n)
 	// own[i] = log P(X_i on the candidate side of c),
 	// rest[i] = log P(X_i on the other side).
-	own := make([]float64, n)
-	rest := make([]float64, n)
+	own, rest := scratch[:n], scratch[n:2*n]
 	total := 0.0 // sum of finite rest terms
 	zeros := 0   // count of rest[i] == -inf
 	for i, d := range ds {

@@ -102,7 +102,7 @@ func TestBoundsSeparated(t *testing.T) {
 		{Mean: 1.0, Std: 0.05},
 		{Mean: 1.1, Std: 0.05}, // clearly fastest
 	}
-	slow := SlowestLowerBounds(ds, make([]float64, len(ds)))
+	slow := SlowestLowerBounds(ds, make([]float64, len(ds)), make([]float64, 2*len(ds)))
 	if slow[0] < 0.95 {
 		t.Errorf("slowest bound for the clearly slowest core = %v, want near 1", slow[0])
 	}
@@ -114,7 +114,7 @@ func TestBoundsSeparated(t *testing.T) {
 	// The midpoint lower bound is loose when several distributions sit
 	// on the far side of c, so assert ordering, not magnitude: the
 	// clearly fastest core must carry the largest fastest-bound.
-	fast := FastestLowerBounds(ds, make([]float64, len(ds)))
+	fast := FastestLowerBounds(ds, make([]float64, len(ds)), make([]float64, 2*len(ds)))
 	for i, p := range fast[:3] {
 		if p >= fast[3] {
 			t.Errorf("fastest bound for core %d (%v) not below the fastest core's (%v)", i, p, fast[3])
@@ -132,7 +132,7 @@ func TestBoundsSeparated(t *testing.T) {
 // Identical distributions are exchangeable: equal bounds, no NaNs.
 func TestBoundsSymmetric(t *testing.T) {
 	ds := []Dist{{Mean: 0.5, Std: 0.1}, {Mean: 0.5, Std: 0.1}, {Mean: 0.5, Std: 0.1}}
-	out := SlowestLowerBounds(ds, make([]float64, 3))
+	out := SlowestLowerBounds(ds, make([]float64, 3), make([]float64, 6))
 	for i, p := range out {
 		if math.IsNaN(p) || p < 0 || p > 1 {
 			t.Fatalf("bound %d = %v out of range", i, p)
@@ -151,7 +151,7 @@ func TestBoundsDegenerate(t *testing.T) {
 		{Mean: 1.0, Std: 0.05},
 		{Mean: 1.1, Std: 0.05},
 	}
-	out := SlowestLowerBounds(ds, make([]float64, 3))
+	out := SlowestLowerBounds(ds, make([]float64, 3), make([]float64, 6))
 	for i, p := range out {
 		if math.IsNaN(p) {
 			t.Fatalf("bound %d is NaN: %v", i, out)
@@ -167,7 +167,7 @@ func TestBoundsDegenerate(t *testing.T) {
 	// collapses to 0 except possibly the candidates' own, which are
 	// also 0 because the *other* certain one blocks them.
 	ds2 := []Dist{{Mean: 0.1, Std: 0}, {Mean: 0.1, Std: 0}, {Mean: 2.0, Std: 0.05}}
-	out2 := SlowestLowerBounds(ds2, make([]float64, 3))
+	out2 := SlowestLowerBounds(ds2, make([]float64, 3), make([]float64, 6))
 	for i, p := range out2 {
 		if math.IsNaN(p) {
 			t.Fatalf("bound %d is NaN with two degenerate dists: %v", i, out2)
@@ -178,11 +178,31 @@ func TestBoundsDegenerate(t *testing.T) {
 	}
 }
 
+// The bounds read nothing from scratch before writing it: a reused
+// buffer holding an earlier call's terms (NaN here) gives the bits a
+// fresh one does.
+func TestBoundsIgnoreScratchContents(t *testing.T) {
+	ds := []Dist{{Mean: 0.1, Std: 0}, {Mean: 0.6, Std: 0.2}, {Mean: 0.9, Std: 0.1}}
+	dirty := make([]float64, 2*len(ds))
+	for i := range dirty {
+		dirty[i] = math.NaN()
+	}
+	for _, bounds := range []func([]Dist, []float64, []float64) []float64{SlowestLowerBounds, FastestLowerBounds} {
+		want := bounds(ds, make([]float64, len(ds)), make([]float64, 2*len(ds)))
+		got := bounds(ds, make([]float64, len(ds)), dirty)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("bound %d with reused scratch = %v, want %v", i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestBoundsSmallSets(t *testing.T) {
-	if out := SlowestLowerBounds(nil, nil); len(out) != 0 {
+	if out := SlowestLowerBounds(nil, nil, nil); len(out) != 0 {
 		t.Errorf("empty set: %v", out)
 	}
-	out := SlowestLowerBounds([]Dist{{Mean: 0.4, Std: 0.1}}, make([]float64, 1))
+	out := SlowestLowerBounds([]Dist{{Mean: 0.4, Std: 0.1}}, make([]float64, 1), make([]float64, 2))
 	if out[0] != 1 {
 		t.Errorf("singleton is trivially slowest, got %v", out[0])
 	}

@@ -3,6 +3,9 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -83,4 +86,97 @@ func removedDial(data []byte) bool {
 		}
 	}
 	return false
+}
+
+// FuzzBatch drives POST /v1/batches bodies through the handler, with a
+// stub executor that answers at once in place of real runs. No body
+// may panic the server. A 200 must list one item per spec of the
+// envelope, in order, each in a documented state: a run state (with
+// its ID and cache verdict) or "invalid"/"rejected" (with an error).
+// Every 4xx must carry the documented error body, one JSON object
+// holding one non-empty "error" string.
+func FuzzBatch(f *testing.F) {
+	for _, seed := range []string{
+		`{"specs":[{"experiment":"fig1"}]}`,
+		`{"specs":[{"experiment":"fig1","seed":1},{"experiment":"no-such"},{"experiment":"fig1","seed":1},{"experiment":"fig3t","reps":2,"scale":8,"perturb":"noise"}]}`,
+		`{"specs":[{"experiment":"fig1","seed":1},{"experiment":"fig1","seed":2},{"experiment":"fig1","seed":3},{"experiment":"fig1","seed":4},{"experiment":"fig1","seed":5},{"experiment":"fig1","seed":6},{"experiment":"fig1","seed":7}]}`,
+		`{"specs":[1,"x",null,{},[]]}`,
+		`{"specs":[{"experiment":"fig1","shards":4},{"experiment":"fig1","reps":65536}]}`,
+		`{"specs":[{"experiment":"fig1","reps":1,"scale":64}],"spec":[1]}`,
+		`{"specs":[]}`,
+		`{"specs":null}`,
+		`{"specs":[{"experiment":"fig1"}]} {"specs":[]}`,
+		`{"SPECS":[{"experiment":"fig1"}]}`,
+		`[]`,
+		`not json`,
+		``,
+		`{"specs":[` + strings.Repeat(`{"experiment":"fig1"},`, maxBatchSpecs) + `{"experiment":"fig1"}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s := New(Config{Workers: 1, QueueDepth: 4, Version: "fuzz"})
+		s.executor = func(spec Spec, _ <-chan struct{}) ([]byte, []byte, error) {
+			return []byte(fmt.Sprintf(`{"stub":true,"seed":%d}`, spec.Seed)), nil, nil
+		}
+		defer s.Drain()
+		req := httptest.NewRequest("POST", "/v1/batches", bytes.NewReader(body))
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, req)
+		if ct := w.Header().Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("status %d with Content-Type %q", w.Code, ct)
+		}
+		switch {
+		case w.Code == http.StatusOK:
+			checkBatchItems(t, body, w.Body.Bytes())
+		case w.Code >= 400 && w.Code < 500:
+			var e errorDoc
+			if err := decodeStrict(w.Body.Bytes(), &e); err != nil || e.Error == "" {
+				t.Fatalf("%d error body %q is not {\"error\": \"...\"}: %v", w.Code, w.Body.String(), err)
+			}
+		default:
+			t.Fatalf("status %d for a batch body: %s", w.Code, w.Body.String())
+		}
+	})
+}
+
+// checkBatchItems checks a 200 batch response against the request
+// body: one item per spec, in order, each in a documented state.
+func checkBatchItems(t *testing.T, body, resp []byte) {
+	t.Helper()
+	var req struct {
+		Specs []json.RawMessage `json:"specs"`
+	}
+	if err := json.Unmarshal(body, &req); err != nil {
+		t.Fatalf("200 for a body that is not a batch envelope: %v", err)
+	}
+	var got batchResponse
+	if err := decodeStrict(resp, &got); err != nil {
+		t.Fatalf("200 body %q is not a batch response: %v", resp, err)
+	}
+	if len(got.Items) != len(req.Specs) {
+		t.Fatalf("%d items for %d specs", len(got.Items), len(req.Specs))
+	}
+	for i, it := range got.Items {
+		if it.Index != i {
+			t.Fatalf("item %d has index %d", i, it.Index)
+		}
+		switch it.State {
+		case "invalid", "rejected":
+			if it.Error == "" || it.ID != "" || it.Cache != "" {
+				t.Fatalf("item %d %s: %+v, want an error and no run", i, it.State, it)
+			}
+		case StateQueued, StateRunning, StateDone, StateFailed, StateCancelled:
+			if it.ID == "" || it.Error != "" {
+				t.Fatalf("item %d %s: %+v, want a run ID and no error", i, it.State, it)
+			}
+			switch it.Cache {
+			case CacheHit, CacheMiss, CacheJoin:
+			default:
+				t.Fatalf("item %d: cache verdict %q", i, it.Cache)
+			}
+		default:
+			t.Fatalf("item %d: undocumented state %q", i, it.State)
+		}
+	}
 }

@@ -223,20 +223,22 @@ type Balancer struct {
 	// prevPlacer is the fork-placement policy the predictive placer
 	// wraps; non-group tasks delegate to it unchanged.
 	prevPlacer sim.Placer
-	// effBuf, distBuf, idxBuf, probOf and predSlowest are the
-	// per-balance-pass scratch buffers of the predictive path,
-	// preallocated so prediction adds no steady-state allocation.
+	// effBuf, distBuf, idxBuf, boundsBuf, boundsScratch, probOf and
+	// predSlowest are the per-balance-pass scratch buffers of the
+	// predictive path, preallocated so prediction adds no steady-state
+	// allocation.
 	// probOf[k] is core index k's slowest-probability bound this pass
 	// (−1 when unsampled or cold); predSlowest[j] is the core index
 	// balancer thread j predicted slowest at its previous pass (−1
 	// none), resolved against the realized slowest for the hit/miss
 	// audit.
-	effBuf      []float64
-	distBuf     []predict.Dist
-	idxBuf      []int
-	boundsBuf   []float64
-	probOf      []float64
-	predSlowest []int
+	effBuf        []float64
+	distBuf       []predict.Dist
+	idxBuf        []int
+	boundsBuf     []float64
+	boundsScratch []float64
+	probOf        []float64
+	predSlowest   []int
 	// occAtSample[j] is how many runnable tasks shared core j when its
 	// speed was last sampled (≥1); the placer multiplies it back out to
 	// recover the core's capacity from the per-thread speed, then
@@ -389,6 +391,7 @@ func (b *Balancer) Start(m *sim.Machine) {
 		b.distBuf = make([]predict.Dist, 0, n)
 		b.idxBuf = make([]int, 0, n)
 		b.boundsBuf = make([]float64, n)
+		b.boundsScratch = make([]float64, 2*n)
 		b.probOf = make([]float64, n)
 		b.predSlowest = make([]int, n)
 		for j := range b.predSlowest {
@@ -940,7 +943,7 @@ func (b *Balancer) slowestProbs(eff []float64) []float64 {
 		b.idxBuf = append(b.idxBuf, k)
 	}
 	if len(b.distBuf) > 0 {
-		out := predict.SlowestLowerBounds(b.distBuf, b.boundsBuf[:len(b.distBuf)])
+		out := predict.SlowestLowerBounds(b.distBuf, b.boundsBuf[:len(b.distBuf)], b.boundsScratch)
 		for i, k := range b.idxBuf {
 			b.probOf[k] = out[i]
 		}

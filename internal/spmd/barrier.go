@@ -42,11 +42,22 @@ type Barrier struct {
 var waitBuckets = metrics.ExpBuckets(1e3, 4, 12)
 
 // NewBarrier returns a barrier for n parties. It panics if n < 1.
+//
+// An episode holds at most n−1 waiters, so both waiter buffers (one
+// backing array) and the arrival times are sized for that once: the
+// first episodes do not grow them by append.
 func NewBarrier(n int) *Barrier {
 	if n < 1 {
 		panic(fmt.Sprintf("spmd: barrier size %d", n))
 	}
-	return &Barrier{n: n}
+	most := n - 1
+	w := make([]*task.Task, 2*most)
+	return &Barrier{
+		n:         n,
+		waiters:   w[:0:most],
+		released:  w[most:most],
+		arrivedAt: make([]int64, 0, most),
+	}
 }
 
 // Arrive implements task.Cond. The last arriver releases all waiters and
