@@ -10,8 +10,10 @@ package lbos
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/exp"
 )
@@ -295,6 +297,27 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		events += sys.Machine().Stats.Events
 	}
 	b.ReportMetric(float64(events)/float64(b.N), "events/run")
+}
+
+// BenchmarkFab1k measures the engine's CPU cost per event on the
+// 1,024-core fabric of the fab1k allocation row (16 sockets of 64 cores,
+// socket-wide memory domains, parallel shard windows). It runs at
+// GOMAXPROCS 1, so wall time is CPU time, and each op advances the
+// machine by one 1 ms chunk after a 100 ms warm-up. ns/event is the
+// number the contention walk and the event queue are judged by.
+func BenchmarkFab1k(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	m := fabric1kSetup()
+	m.RunFor(100 * time.Millisecond)
+	start := m.Stats.Events
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.RunFor(time.Millisecond)
+	}
+	b.StopTimer()
+	if n := m.Stats.Events - start; n > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/event")
+	}
 }
 
 func ExampleNewSystem() {

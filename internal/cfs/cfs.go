@@ -175,7 +175,12 @@ func (q *Queue) PutPrev(t *task.Task) {
 // AccountExec implements sim.Scheduler: vruntime advances inversely to
 // weight.
 func (q *Queue) AccountExec(t *task.Task, d time.Duration) {
-	t.Sched.Vruntime += int64(d) * nice0Weight / t.Sched.Weight
+	if t.Sched.Weight == nice0Weight {
+		// d·1024/1024 is d exactly whenever the product fits in int64.
+		t.Sched.Vruntime += int64(d)
+	} else {
+		t.Sched.Vruntime += int64(d) * nice0Weight / t.Sched.Weight
+	}
 	q.updateMin()
 }
 

@@ -15,8 +15,11 @@ import (
 // effective-speed computation decides the result. open-bakeoff and
 // predict-bakeoff run open arrival streams, where task churn drives the
 // machine's live-task list and speedbal's rescan adopts each arrival.
-// A deliberate output change re-records them with the value the
-// failure prints.
+// fig2 (3 threads on 2 cores) and fig3t (EP on Tigerton) are the
+// closed workload's other two experiments, fixed thread populations
+// under every balancer, where the order of same-time stop events and
+// balancer wakes decides the result. A deliberate output change
+// re-records them with the value the failure prints.
 var pinned = []struct {
 	id     string
 	digest string
@@ -25,6 +28,8 @@ var pinned = []struct {
 	{"ext-smt", "1edfd8490708c1b5"},
 	{"open-bakeoff", "f7fbd287b19b3ad4"},
 	{"predict-bakeoff", "23bef9761a07a991"},
+	{"fig2", "8967366c6a7543f5"},
+	{"fig3t", "984a2426b22bc6c8"},
 }
 
 func TestPinnedContendedCaptures(t *testing.T) {

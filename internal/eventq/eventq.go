@@ -7,6 +7,13 @@
 // without it, heap sibling order would decide whether, say, a balancer
 // fires before or after a barrier release at the same nanosecond.
 //
+// The queue is a plain binary heap whose slots carry their event's
+// (time, sequence) key inline, so sifting compares slots without
+// dereferencing an Event. Keys are unique, so the pop order is a total
+// order any correct heap reproduces. Sharded compares the head slots of
+// its sub-queues the same way, and PopUntil finds and removes the
+// earliest event in one scan of those heads.
+//
 // The queue is the simulator's hottest allocation site, so it supports an
 // allocation-lean usage pattern on top of the classic Push/Pop:
 // caller-owned events (NewEvent + Schedule). A periodic timer — a core's
@@ -28,7 +35,6 @@ type Event struct {
 	At   Time
 	Fire func(now Time)
 
-	seq   uint64
 	index int // heap index, -1 when not queued
 	// shard is the index of the Sharded sub-queue holding (or last
 	// holding) the event; 0 for events in a plain Queue.
@@ -45,10 +51,23 @@ func NewEvent(fn func(now Time)) *Event {
 // Queued reports whether the event is currently pending in a queue.
 func (e *Event) Queued() bool { return e.index >= 0 }
 
+// slot is one heap entry: the event and a copy of its ordering key.
+// at always equals e.At.
+type slot struct {
+	at  Time
+	seq uint64
+	e   *Event
+}
+
+// before orders slots by time, then by scheduling sequence.
+func (a *slot) before(b *slot) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
 // Queue is a min-heap of events. The zero value is an empty queue ready
 // to use.
 type Queue struct {
-	heap []*Event
+	heap []slot
 	seq  uint64
 }
 
@@ -70,24 +89,28 @@ func (q *Queue) Push(at Time, fn func(now Time)) *Event {
 // fires in the order of the Schedule/Push calls, exactly as if it had
 // been removed and re-pushed.
 func (q *Queue) Schedule(e *Event, at Time) {
-	if e.index >= 0 && q.heap[e.index] == e {
-		e.At = at
-		e.seq = q.seq
+	e.At = at
+	if i := e.index; i >= 0 && i < len(q.heap) && q.heap[i].e == e {
+		// Only a smaller key can move up and only a larger one down.
+		s := &q.heap[i]
+		old := *s
+		s.at, s.seq = at, q.seq
 		q.seq++
-		q.down(e.index)
-		q.up(e.index)
+		if s.before(&old) {
+			q.up(i)
+		} else {
+			q.down(i)
+		}
 		return
 	}
-	e.At = at
 	q.push(e)
 }
 
 func (q *Queue) push(e *Event) {
-	e.seq = q.seq
+	i := len(q.heap)
+	q.heap = append(q.heap, slot{at: e.At, seq: q.seq, e: e})
 	q.seq++
-	e.index = len(q.heap)
-	q.heap = append(q.heap, e)
-	q.up(e.index)
+	q.up(i)
 }
 
 // Pop removes and returns the earliest event, or nil if the queue is
@@ -96,15 +119,8 @@ func (q *Queue) Pop() *Event {
 	if len(q.heap) == 0 {
 		return nil
 	}
-	top := q.heap[0]
-	last := len(q.heap) - 1
-	q.swap(0, last)
-	q.heap[last] = nil
-	q.heap = q.heap[:last]
-	if last > 0 {
-		q.down(0)
-	}
-	top.index = -1
+	top := q.heap[0].e
+	q.removeAt(0)
 	return top
 }
 
@@ -113,69 +129,75 @@ func (q *Queue) Peek() *Event {
 	if len(q.heap) == 0 {
 		return nil
 	}
-	return q.heap[0]
+	return q.heap[0].e
 }
 
 // Remove cancels a pending event. It is a no-op if the event has already
 // fired or been removed. It returns whether the event was removed.
 func (q *Queue) Remove(e *Event) bool {
-	if e == nil || e.index < 0 || e.index >= len(q.heap) || q.heap[e.index] != e {
+	if e == nil || e.index < 0 || e.index >= len(q.heap) || q.heap[e.index].e != e {
 		return false
 	}
-	i := e.index
-	last := len(q.heap) - 1
-	q.swap(i, last)
-	q.heap[last] = nil
-	q.heap = q.heap[:last]
-	if i < last {
-		q.down(i)
-		q.up(i)
-	}
-	e.index = -1
+	q.removeAt(e.index)
 	return true
 }
 
-// less orders by time, then by scheduling sequence.
-func (q *Queue) less(i, j int) bool {
-	a, b := q.heap[i], q.heap[j]
-	if a.At != b.At {
-		return a.At < b.At
+// removeAt takes slot i out of the heap, fills the hole with the last
+// slot, sifts that slot whichever way its key needs, and marks the
+// removed event unqueued.
+func (q *Queue) removeAt(i int) {
+	e := q.heap[i].e
+	last := len(q.heap) - 1
+	q.heap[i] = q.heap[last]
+	q.heap[last] = slot{}
+	q.heap = q.heap[:last]
+	if i < last && !q.down(i) {
+		q.up(i)
 	}
-	return a.seq < b.seq
+	e.index = -1
 }
 
-func (q *Queue) swap(i, j int) {
-	q.heap[i], q.heap[j] = q.heap[j], q.heap[i]
-	q.heap[i].index = i
-	q.heap[j].index = j
-}
-
+// up sifts slot i toward the root, moving each larger parent down one
+// level and writing the slot once at its final position.
 func (q *Queue) up(i int) {
+	h := q.heap
+	x := h[i]
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		p := (i - 1) / 2
+		if !x.before(&h[p]) {
 			break
 		}
-		q.swap(i, parent)
-		i = parent
+		h[i] = h[p]
+		h[i].e.index = i
+		i = p
 	}
+	h[i] = x
+	x.e.index = i
 }
 
-func (q *Queue) down(i int) {
-	n := len(q.heap)
+// down sifts slot i toward the leaves the same way and reports whether
+// it moved.
+func (q *Queue) down(i0 int) bool {
+	h := q.heap
+	n := len(h)
+	x := h[i0]
+	i := i0
 	for {
-		left := 2*i + 1
-		if left >= n {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		child := left
-		if right := left + 1; right < n && q.less(right, left) {
-			child = right
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
 		}
-		if !q.less(child, i) {
+		if !h[c].before(&x) {
 			break
 		}
-		q.swap(i, child)
-		i = child
+		h[i] = h[c]
+		h[i].e.index = i
+		i = c
 	}
+	h[i] = x
+	x.e.index = i
+	return i > i0
 }

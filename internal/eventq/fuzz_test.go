@@ -13,6 +13,37 @@ import (
 // cross-shard moves, window entry on timestamp ties), and fuzzing mines
 // for new ones. CI runs each target briefly (-fuzztime) on every push.
 
+// checkHeap fails the test unless q's slots are in heap order by their
+// inline keys, each slot's event records the slot's index, and each
+// slot's inline time equals its event's At.
+func checkHeap(t *testing.T, q *Queue) {
+	for i := range q.heap {
+		s := &q.heap[i]
+		if s.e.index != i {
+			t.Fatalf("slot %d holds an event whose index is %d", i, s.e.index)
+		}
+		if s.at != s.e.At {
+			t.Fatalf("slot %d keys time %d, its event's At is %d", i, s.at, s.e.At)
+		}
+		if p := &q.heap[(i-1)/2]; i > 0 && s.before(p) {
+			t.Fatalf("slot %d (%d, %d) sorts before its parent (%d, %d)", i, s.at, s.seq, p.at, p.seq)
+		}
+	}
+}
+
+// checkSharded runs checkHeap on every sub-queue of s and checks that
+// each queued event records the sub-queue holding it.
+func checkSharded(t *testing.T, s *Sharded) {
+	for i := range s.qs {
+		checkHeap(t, &s.qs[i])
+		for _, sl := range s.qs[i].heap {
+			if int(sl.e.shard) != i {
+				t.Fatalf("event in sub-queue %d records shard %d", i, sl.e.shard)
+			}
+		}
+	}
+}
+
 // refModel is the oracle for FuzzEventQueue: a flat list ordered by
 // nothing, searched linearly for the (At, seq) minimum — too slow to
 // ship, too simple to be wrong.
@@ -66,6 +97,13 @@ func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 9, 0, 0, 9, 0, 3, 0, 9, 2, 0, 0, 2, 0, 0})
 	// Remove, then pop the survivor.
 	f.Add([]byte{0, 4, 0, 0, 6, 0, 4, 0, 0, 2, 0, 0})
+	// Reschedule the last leaf of a three-level heap to an earlier time
+	// than the root: it must sift all the way up.
+	f.Add([]byte{0, 0, 10, 0, 0, 11, 0, 0, 12, 0, 0, 13, 0, 0, 14, 0, 0, 15, 0, 0, 16,
+		3, 6, 0, 2, 0, 0, 2, 0, 0, 2, 0, 0})
+	// Reschedule the root to its own time: the fresh sequence number
+	// puts it behind its same-time child, so it must sift down.
+	f.Add([]byte{0, 0, 5, 0, 0, 5, 0, 0, 9, 3, 0, 5, 2, 0, 0, 2, 0, 0, 2, 0, 0})
 
 	f.Fuzz(func(t *testing.T, script []byte) {
 		var q Queue
@@ -96,6 +134,7 @@ func FuzzEventQueue(f *testing.F) {
 		}
 
 		for i := 0; i+2 < len(script); i += 3 {
+			checkHeap(t, &q)
 			op, a, b := script[i]%6, script[i+1], script[i+2]
 			at := Time(b % 64)
 			switch op {
@@ -162,8 +201,10 @@ func FuzzEventQueue(f *testing.F) {
 		}
 		// Drain: the complete remaining order must match the model.
 		for q.Len() > 0 || model.min() != -1 {
+			checkHeap(t, &q)
 			popAndCheck()
 		}
+		checkHeap(t, &q)
 	})
 }
 
@@ -185,6 +226,13 @@ func FuzzShardMerge(f *testing.F) {
 	f.Add(byte(2), []byte{0, 2, 5, 0, 0, 5, 2, 0, 0, 2, 0, 0})
 	// Fire-and-forget events across shards.
 	f.Add(byte(4), []byte{1, 0, 3, 1, 1, 3, 2, 0, 0, 1, 2, 3, 2, 0, 0, 2, 0, 0})
+	// Reschedule the last leaf of a three-level sub-queue to an earlier
+	// time than its root.
+	f.Add(byte(0), []byte{0, 0, 10, 0, 0, 11, 0, 0, 12, 0, 0, 13, 0, 0, 14, 0, 0, 15, 0, 0, 16,
+		3, 6, 0, 2, 0, 0, 2, 0, 0, 2, 0, 0})
+	// Reschedule a sub-queue's root to its own time, behind its
+	// same-time child.
+	f.Add(byte(1), []byte{0, 0, 5, 0, 0, 5, 0, 0, 9, 3, 0, 5, 2, 0, 0, 2, 0, 0, 2, 0, 0})
 
 	f.Fuzz(func(t *testing.T, shardsByte byte, script []byte) {
 		nsh := 1 + int(shardsByte%4)
@@ -222,6 +270,8 @@ func FuzzShardMerge(f *testing.F) {
 		}
 
 		for i := 0; i+2 < len(script); i += 3 {
+			checkSharded(t, s)
+			checkHeap(t, &oracle)
 			op, a, b := script[i]%5, script[i+1], script[i+2]
 			at := Time(b % 64)
 			sh := shardOf(a)
@@ -267,6 +317,9 @@ func FuzzShardMerge(f *testing.F) {
 			}
 		}
 
+		checkSharded(t, s)
+		checkHeap(t, &oracle)
+
 		// Window phase: drain what remains through the parallel-window
 		// primitives. The horizon is the earliest control event (or the
 		// end of time), exactly as the machine computes it.
@@ -297,6 +350,7 @@ func FuzzShardMerge(f *testing.F) {
 					repushed = true
 					s.Push(sh, e.At+1, func(Time) {})
 				}
+				checkSharded(t, s)
 			}
 			if h := s.ShardPeek(sh); h != nil && h.At < horizon {
 				t.Fatalf("shard %d still holds pre-horizon event at %d after drain", sh, h.At)
@@ -314,6 +368,7 @@ func FuzzShardMerge(f *testing.F) {
 			isPost[e] = true
 		}
 		for k := 0; ; k++ {
+			checkSharded(t, s)
 			e := s.Pop()
 			if e == nil {
 				break

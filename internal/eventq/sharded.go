@@ -1,6 +1,9 @@
 package eventq
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Sharded is a partitioned event queue: one sub-queue per machine shard
 // plus a control sub-queue for global (machine-wide) events, all sharing
@@ -97,16 +100,16 @@ func (s *Sharded) Remove(e *Event) bool {
 	return s.qs[e.shard].Remove(e)
 }
 
-// Peek returns the globally earliest event by (time, seq, shard), or nil.
-func (s *Sharded) Peek() *Event {
-	_, e := s.min()
-	return e
-}
+// Pop removes and returns the globally earliest event by (time, seq,
+// shard), or nil.
+func (s *Sharded) Pop() *Event { return s.PopUntil(math.MaxInt64) }
 
-// Pop removes and returns the globally earliest event, or nil.
-func (s *Sharded) Pop() *Event {
-	i, e := s.min()
-	if e == nil {
+// PopUntil removes and returns the globally earliest event if it fires
+// at or before limit, else nil. It scans the sub-queue heads once, so a
+// caller draining up to a time limit pays one scan per event.
+func (s *Sharded) PopUntil(limit Time) *Event {
+	i := s.min()
+	if i < 0 || s.qs[i].heap[0].at > limit {
 		return nil
 	}
 	return s.qs[i].Pop()
@@ -117,19 +120,23 @@ func (s *Sharded) Pop() *Event {
 // occur strictly before it.
 func (s *Sharded) PeekGlobal() *Event { return s.qs[s.Global()].Peek() }
 
-// min locates the sub-queue holding the globally earliest event.
-func (s *Sharded) min() (int, *Event) {
-	best, bi := (*Event)(nil), -1
+// min returns the index of the sub-queue holding the globally earliest
+// event, or -1 when every sub-queue is empty. Sequence values collide
+// across shards only for events scheduled inside a parallel window; the
+// lower shard index wins such a tie.
+func (s *Sharded) min() int {
+	bi := -1
+	var best *slot
 	for i := range s.qs {
-		h := s.qs[i].Peek()
-		if h == nil {
+		h := s.qs[i].heap
+		if len(h) == 0 {
 			continue
 		}
-		if best == nil || h.At < best.At || (h.At == best.At && (h.seq < best.seq || (h.seq == best.seq && i < bi))) {
-			best, bi = h, i
+		if best == nil || h[0].before(best) {
+			best, bi = &h[0], i
 		}
 	}
-	return bi, best
+	return bi
 }
 
 // checkout hands the shared sequence counter to a sub-queue before a
@@ -186,8 +193,7 @@ func (s *Sharded) EndWindow() {
 // sub-queue for the duration of a window.
 func (s *Sharded) ShardPopBefore(shard int, horizon Time) *Event {
 	q := &s.qs[shard]
-	h := q.Peek()
-	if h == nil || h.At >= horizon {
+	if len(q.heap) == 0 || q.heap[0].at >= horizon {
 		return nil
 	}
 	return q.Pop()

@@ -46,8 +46,19 @@ func run(seed uint64, cfg openload.Config, shards int, par bool) *result {
 	m.AddActor(linuxlb.Default())
 	res := newResult(cfg)
 	m.AddActor(res.Gen)
-	m.Run(int64(time.Hour))
+	drain(m, res.Gen, cfg.Horizon)
 	return res
+}
+
+// drain runs m through g's arrival horizon, then on in 10 ms steps
+// until every admitted job has departed. Past that point the balancer
+// only ticks over an empty machine, which changes no record. The steps
+// stop at an hour of simulated time; callers check Unfinished.
+func drain(m *sim.Machine, g *openload.Gen, horizon time.Duration) {
+	m.Run(int64(horizon))
+	for g.Unfinished() > 0 && m.Now() < int64(time.Hour) {
+		m.RunFor(10 * time.Millisecond)
+	}
 }
 
 func fingerprint(g *result) string {
@@ -174,9 +185,10 @@ func TestFixedAllocPinsThreads(t *testing.T) {
 	m := newMachine(17, 0, false)
 	log := sim.LogTasks(m)
 	m.AddActor(linuxlb.Default())
-	g := newResult(openload.Config{Rho: 0.6, Horizon: time.Second, FixedAlloc: true})
+	cfg := openload.Config{Rho: 0.6, Horizon: time.Second, FixedAlloc: true}
+	g := newResult(cfg)
 	m.AddActor(g.Gen)
-	m.Run(int64(time.Hour))
+	drain(m, g.Gen, cfg.Horizon)
 	if g.Unfinished() != 0 {
 		t.Fatalf("%d jobs unfinished", g.Unfinished())
 	}
@@ -271,12 +283,13 @@ func TestSpeedbalAdoptsArrivals(t *testing.T) {
 	// any /proc poller would miss them): the machine fully drains
 	// between jobs, so without admission re-arming the balancer adopts
 	// only arrivals that overlap the first job's wake window.
-	g := openload.New(openload.Config{
+	cfg := openload.Config{
 		Classes: []openload.Class{{Name: "batch", Weight: 1, Work: 400e6}},
 		Rho:     0.02, Horizon: 8 * time.Second,
-	})
+	}
+	g := openload.New(cfg)
 	m.AddActor(g)
-	m.Run(int64(time.Hour))
+	drain(m, g, cfg.Horizon)
 	if g.Unfinished() != 0 {
 		t.Fatalf("%d jobs unfinished", g.Unfinished())
 	}

@@ -229,6 +229,26 @@ type hotplugState struct {
 	timer      *sim.Timer
 	offline    int
 	maxOffline int
+	// cand is fire's list of unplug candidates, kept across firings.
+	cand []int
+	// replugFree holds the idle replug events. One is pending per
+	// offline core, so at most maxOffline are ever allocated.
+	replugFree []*replug
+}
+
+// replug is a reusable global event that brings one unplugged core back
+// online and then returns to its hotplugState's free list.
+type replug struct {
+	st    *hotplugState
+	core  int
+	timer *sim.Timer
+}
+
+func (r *replug) fire(int64) {
+	st := r.st
+	st.replugFree = append(st.replugFree, r)
+	st.offline--
+	st.in.m.SetCoreOnline(r.core, true)
 }
 
 func (st *hotplugState) fire(now int64) {
@@ -240,7 +260,7 @@ func (st *hotplugState) fire(now int64) {
 	if st.offline < st.maxOffline && in.m.OnlineCores() > 1 {
 		// Candidates in core-ID order keep the pick a pure function of
 		// the RNG stream.
-		var cand []int
+		cand := st.cand[:0]
 		for _, c := range in.m.Cores {
 			if !c.Online() {
 				continue
@@ -250,6 +270,7 @@ func (st *hotplugState) fire(now int64) {
 			}
 			cand = append(cand, c.ID())
 		}
+		st.cand = cand
 		if len(cand) > 0 {
 			core := cand[st.rng.Intn(len(cand))]
 			off := jittered(st.rng, cfg.OffTime, cfg.Jitter)
@@ -257,10 +278,16 @@ func (st *hotplugState) fire(now int64) {
 			in.Hotplugs++
 			in.count("perturb.hotplug")
 			in.m.SetCoreOnline(core, false)
-			in.m.At(now+off, func(int64) {
-				st.offline--
-				in.m.SetCoreOnline(core, true)
-			})
+			var r *replug
+			if n := len(st.replugFree); n > 0 {
+				r = st.replugFree[n-1]
+				st.replugFree = st.replugFree[:n-1]
+			} else {
+				r = &replug{st: st}
+				r.timer = in.m.NewTimer(r.fire)
+			}
+			r.core = core
+			r.timer.Schedule(now + off)
 		}
 	}
 	st.timer.Schedule(now + jittered(st.rng, cfg.Interval, cfg.Jitter))

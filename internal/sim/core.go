@@ -12,59 +12,30 @@ import (
 
 // Core is one logical CPU of the machine. At most one task runs on a
 // core at a time; the core's Scheduler decides which.
+//
+// The fields up to BusyTime are the ones the contention walk reads on
+// every mate it settles and re-arms (see sharedWith); they come first so
+// that a visit touches as few cache lines as possible.
 type Core struct {
-	id   int
-	info *topo.CoreInfo
-	m    *Machine
-	// shard is the event-queue shard owning this core's events; sh is
-	// that shard's mutable state (clock, window counters).
-	shard int
+	cur *task.Task
+	// smtGroup is the lowest core ID of this core's SMT sibling set,
+	// equal exactly on cores that share a physical core.
+	smtGroup int
+	m        *Machine
+	// sh is the state of the event-queue shard owning this core's events
+	// (clock, window counters); shard is its index.
 	sh    *shardState
-
-	sched Scheduler
-	cur   *task.Task
+	shard int
 	// runStart is when the current task's un-accounted stint began.
 	runStart int64
-	// stintStart is when the current task last went on-CPU (unlike
-	// runStart it survives intermediate accounting settlements); it
-	// anchors the traced run-stint slice.
-	stintStart int64
 	// sliceEnd is when the current task's CFS timeslice expires.
 	sliceEnd int64
-	// stopEv is the core's reusable stop event. Re-arming moves it inside
-	// the event queue; disarming removes it, so at most one stop event per
-	// core is ever pending and stale stops cannot fire.
-	stopEv *eventq.Event
-	// needResched forces the next scheduleStop to fire immediately
-	// (wakeup preemption, release of a running waiter).
-	needResched bool
-	inDispatch  bool
-	// visitYield is yieldWaiter bound once at New, so the queue walk of
-	// onlyYieldWaitersQueued allocates no closure; allYield is its
-	// result.
-	visitYield func(t *task.Task) bool
-	allYield   bool
-
-	idle      bool
-	idleSince int64
-	lastRun   *task.Task
-	// mem is the core's memory-bandwidth domain, nil when no contention
-	// model is configured.
-	mem *memDomain
-	// Contention neighbourhoods, precomputed at New so the effSpeed and
-	// settle/rearm hot paths walk small int slices instead of decoding
-	// affinity-mask words: smtMates are the other hardware contexts of
-	// this physical core; shareMates is smtMates ∪ (mem.cores minus self
-	// minus smtMates), the cores whose effective speed depends on this
-	// core's occupancy.
-	smtMates   []int32
-	shareMates []int32
-
-	// online reports whether the core participates in scheduling. An
-	// offline core runs nothing and accrues neither busy nor idle time;
-	// enqueueing on it is a bug (the machine panics). Toggled by
-	// Machine.SetCoreOnline.
-	online bool
+	// baseSpeed, node and remotePenalty are the static speed factors
+	// (CoreInfo.BaseSpeed, CoreInfo.Node, Topology.RemoteMemoryPenalty),
+	// copied at New so effSpeed reads them from the core.
+	baseSpeed     float64
+	node          int
+	remotePenalty float64
 	// freq is the core's dynamic frequency factor (1.0 nominal). It
 	// scales work retirement exactly like BaseSpeed but can change at
 	// run time (perturbation layer); exec time still accrues at wall
@@ -79,6 +50,46 @@ type Core struct {
 	// load balancer watches is unchanged, exactly the §6.4 noise
 	// asymmetry. Set by Machine.SetCoreStolen.
 	stolen float64
+	// mem is the core's memory-bandwidth domain, nil when no contention
+	// model is configured.
+	mem *memDomain
+	// smt holds the other hardware contexts of this physical core. The
+	// cores whose effective speed depends on this core's occupancy are
+	// smt, then mem.cores outside this core's smtGroup.
+	smt   []*Core
+	sched Scheduler
+	// stopEv is the core's reusable stop event. Re-arming moves it inside
+	// the event queue; disarming removes it, so at most one stop event per
+	// core is ever pending and stale stops cannot fire.
+	stopEv *eventq.Event
+	// needResched forces the next scheduleStop to fire immediately
+	// (wakeup preemption, release of a running waiter).
+	needResched bool
+	// BusyTime and IdleTime accumulate the core's utilisation.
+	BusyTime time.Duration
+
+	id   int
+	info *topo.CoreInfo
+	// stintStart is when the current task last went on-CPU (unlike
+	// runStart it survives intermediate accounting settlements); it
+	// anchors the traced run-stint slice.
+	stintStart int64
+	inDispatch bool
+	// visitYield is yieldWaiter bound once at New, so the queue walk of
+	// onlyYieldWaitersQueued allocates no closure; allYield is its
+	// result.
+	visitYield func(t *task.Task) bool
+	allYield   bool
+
+	idle      bool
+	idleSince int64
+	lastRun   *task.Task
+
+	// online reports whether the core participates in scheduling. An
+	// offline core runs nothing and accrues neither busy nor idle time;
+	// enqueueing on it is a bug (the machine panics). Toggled by
+	// Machine.SetCoreOnline.
+	online bool
 	// stolenWall integrates the stolen fraction over wall time up to
 	// stolenMark, busy or idle — the core's /proc/stat-style steal+irq
 	// account, which user-level code may read. StolenWall() extends the
@@ -86,8 +97,6 @@ type Core struct {
 	stolenWall time.Duration
 	stolenMark int64
 
-	// BusyTime and IdleTime accumulate the core's utilisation.
-	BusyTime time.Duration
 	idleTime time.Duration
 	// StolenTime accumulates the wall time stolen from on-CPU tasks by
 	// the kernel-noise model (a subset of BusyTime).
@@ -166,39 +175,58 @@ func (c *Core) IdleTime() time.Duration {
 func (c *Core) Sync() { c.account() }
 
 // memDomain is one memory-bandwidth domain of the contention model: its
-// capacity, its cores in topology order, and a memo of their demand.
-// Padded so shard workers filling the memos of different domains never
-// share a cache line.
+// capacity, its cores in topology order, and memos of their demand and
+// of the bandwidth factor that demand imposes. Padded so shard workers
+// filling the memos of different domains never share a cache line.
 type memDomain struct {
 	capacity float64
-	cores    []int32
-	// demand memoizes Machine.demand while valid. Every change that can
-	// move it is preceded by a settleShared on the changing core, which
-	// clears valid; advanceCurrent clears it again after a program step.
+	cores    []*Core
+	// demand memoizes load while valid. Every change that can move it
+	// is preceded by a settleShared on the changing core, which clears
+	// valid; advanceCurrent clears it again after a program step.
 	demand float64
 	valid  bool
-	_      [64]byte
+	// factor memoizes bandwidth for intensity factorOf at the memoized
+	// demand while factorValid. load drops it whenever it recomputes
+	// the demand.
+	factorOf    float64
+	factor      float64
+	factorValid bool
+	_           [64]byte
 }
 
-// demand returns the memory-bandwidth demand on d: the MemIntensity of
+// load returns the memory-bandwidth demand on d: the MemIntensity of
 // every task computing on one of its cores, summed in topology order.
 // The sum is kept until the domain's demand next moves, so an occupancy
 // change that settles and re-arms every domain mate sums the domain
 // once, not once per mate. It is recomputed in the same order, never
 // kept as a running total, so it rounds exactly as a fresh sum does.
-func (m *Machine) demand(d *memDomain) float64 {
+func (d *memDomain) load() float64 {
 	if !d.valid {
 		sum := 0.0
-		for _, id := range d.cores {
+		for _, o := range d.cores {
 			// Only computing tasks stress the memory path: a thread
 			// spinning at a barrier issues no memory traffic.
-			if o := m.Cores[id].cur; o != nil && o.Cur.Kind == task.ExecCompute {
-				sum += o.MemIntensity
+			if t := o.cur; t != nil && t.Cur.Kind == task.ExecCompute {
+				sum += t.MemIntensity
 			}
 		}
 		d.demand, d.valid = sum, true
+		d.factorValid = false
 	}
 	return d.demand
+}
+
+// bandwidth returns the speed factor of a task of memory intensity mi
+// on the saturated domain d: its memory-bound fraction slows to its
+// fair share of the path. demand is d.load(). The factor is kept for
+// the last intensity asked, so mates of equal intensity compute it once
+// per demand.
+func (d *memDomain) bandwidth(mi, demand float64) float64 {
+	if !d.factorValid || d.factorOf != mi {
+		d.factorOf, d.factor, d.factorValid = mi, 1-mi+mi*d.capacity/demand, true
+	}
+	return d.factor
 }
 
 // effSpeed returns the work retired per on-CPU nanosecond when t runs
@@ -208,23 +236,21 @@ func (m *Machine) demand(d *memDomain) float64 {
 // on-CPU time itself, not the retirement rate. t is always c.cur, so the
 // demand on c's domain already counts it.
 func (c *Core) effSpeed(t *task.Task) float64 {
-	s := c.info.BaseSpeed * c.freq
-	if c.m.Topo.RemoteMemoryPenalty > 0 && t.HomeNode >= 0 && t.HomeNode != c.info.Node {
+	s := c.baseSpeed * c.freq
+	if c.remotePenalty > 0 && t.HomeNode >= 0 && t.HomeNode != c.node {
 		// The explicit conversion rounds the product, so no platform
 		// may fuse it into the add.
-		s /= 1 + float64(c.m.Topo.RemoteMemoryPenalty*t.MemIntensity)
+		s /= 1 + float64(c.remotePenalty*t.MemIntensity)
 	}
-	for _, sid := range c.smtMates {
-		if c.m.Cores[sid].cur != nil {
+	for _, o := range c.smt {
+		if o.cur != nil {
 			s *= SMTContention
 			break
 		}
 	}
 	if d := c.mem; t.MemIntensity > 0 && t.Cur.Kind == task.ExecCompute && d != nil {
-		if demand := c.m.demand(d); demand > d.capacity {
-			// The memory-bound fraction of the task slows to its fair
-			// share of the saturated path.
-			s *= 1 - t.MemIntensity + t.MemIntensity*d.capacity/demand
+		if demand := d.load(); demand > d.capacity {
+			s *= d.bandwidth(t.MemIntensity, demand)
 		}
 	}
 	return s
@@ -235,8 +261,11 @@ func (c *Core) effSpeed(t *task.Task) float64 {
 // check budget. Safe to call at any time.
 func (c *Core) account() {
 	t := c.cur
+	if t == nil {
+		return
+	}
 	now := c.clk()
-	if t == nil || c.runStart >= now {
+	if c.runStart >= now {
 		return
 	}
 	elapsed := time.Duration(now - c.runStart)
@@ -359,7 +388,8 @@ func (c *Core) requestStop() {
 		return
 	}
 	c.needResched = true
-	c.armStop(c.clk())
+	now := c.clk()
+	c.armStop(now, now)
 }
 
 // refreshStop re-derives the stop event after queue conditions changed
@@ -380,10 +410,9 @@ func (c *Core) scheduleStop() {
 	t := c.cur
 	now := c.clk()
 	if c.needResched {
-		c.armStop(now)
+		c.armStop(now, now)
 		return
 	}
-	contended := c.sched.NrRunnable() > 1
 	const never = int64(math.MaxInt64)
 	stop := never
 	// The policy re-evaluates at every slice boundary even when the
@@ -397,18 +426,18 @@ func (c *Core) scheduleStop() {
 		if eff := c.effSpeed(t); t.Cur.WorkLeft > 0 {
 			need += int64(math.Ceil(t.Cur.WorkLeft / eff))
 		}
-		stop = c.wallAfter(need)
+		stop = c.wallAfter(now, need)
 	case task.ExecSpin:
 		if t.Cur.Released {
 			stop = now
 		} else if t.Cur.SpinLeft >= 0 {
-			stop = c.wallAfter(int64(t.Cur.SpinLeft) + int64(t.WarmupLeft))
+			stop = c.wallAfter(now, int64(t.Cur.SpinLeft)+int64(t.WarmupLeft))
 		}
 	case task.ExecYieldWait:
 		if t.Cur.Released {
 			stop = now
-		} else if contended {
-			stop = c.wallAfter(int64(t.Cur.CheckLeft) + int64(t.WarmupLeft))
+		} else if c.sched.NrRunnable() > 1 {
+			stop = c.wallAfter(now, int64(t.Cur.CheckLeft)+int64(t.WarmupLeft))
 		} else {
 			// Uncontended yield-waiters spin lazily with no event; an
 			// arriving competitor forces a resched (Machine.enqueue).
@@ -418,7 +447,7 @@ func (c *Core) scheduleStop() {
 		if t.Cur.Released {
 			stop = now
 		} else {
-			stop = c.wallAfter(int64(t.Cur.CheckLeft) + int64(t.WarmupLeft))
+			stop = c.wallAfter(now, int64(t.Cur.CheckLeft)+int64(t.WarmupLeft))
 		}
 	case task.ExecSleep, task.ExecBlocked:
 		// A completed sleep/block scheduled onto the CPU: finish the
@@ -437,28 +466,28 @@ func (c *Core) scheduleStop() {
 		c.m.events.Remove(c.stopEv) // disarm any previously armed stop
 		return
 	}
-	c.armStop(stop)
+	c.armStop(now, stop)
 }
 
-// wallAfter converts need nanoseconds of on-CPU progress into the
-// absolute wall time at which the progress completes, stretching for
-// stolen time. A fully stolen core (stolen >= 1) never completes on
+// wallAfter converts need nanoseconds of on-CPU progress from now into
+// the absolute wall time at which the progress completes, stretching
+// for stolen time. A fully stolen core (stolen >= 1) never completes on
 // its own — the slice cap keeps its event rate bounded and external
 // events (noise ending) intervene.
-func (c *Core) wallAfter(need int64) int64 {
+func (c *Core) wallAfter(now, need int64) int64 {
 	if c.stolen <= 0 {
-		return c.clk() + need
+		return now + need
 	}
 	if c.stolen >= 1 {
 		return int64(math.MaxInt64)
 	}
-	return c.clk() + int64(math.Ceil(float64(need)/(1-c.stolen)))
+	return now + int64(math.Ceil(float64(need)/(1-c.stolen)))
 }
 
-// armStop (re)schedules the core's stop event, moving it if already
-// pending.
-func (c *Core) armStop(at int64) {
-	if now := c.clk(); at < now {
+// armStop (re)schedules the core's stop event at at, clamped to now (the
+// core's clock), moving it if already pending.
+func (c *Core) armStop(now, at int64) {
+	if at < now {
 		at = now
 	}
 	c.m.events.Schedule(c.stopEv, c.shard, at)

@@ -241,16 +241,27 @@ func New(tp *topo.Topology, cfg Config) *Machine {
 	m.memDomains = make([]memDomain, len(tp.MemDomains))
 	for i, d := range tp.MemDomains {
 		m.memDomains[i].capacity = d.Capacity
-		for _, id := range d.Cores.Cores() {
-			m.memDomains[i].cores = append(m.memDomains[i].cores, int32(id))
-		}
 	}
+	// One backing array keeps the cores in ID order in memory, the order
+	// the contention walk visits a domain's cores.
+	cores := make([]Core, len(tp.Cores))
 	for i := range tp.Cores {
-		c := &Core{id: i, info: &tp.Cores[i], m: m,
+		info := &tp.Cores[i]
+		c := &cores[i]
+		*c = Core{id: i, info: info, m: m,
 			online: true, freq: 1,
-			shard: int(m.shardOf[i])}
+			shard:     int(m.shardOf[i]),
+			smtGroup:  info.SMTSiblings.First(),
+			baseSpeed: info.BaseSpeed, node: info.Node,
+			remotePenalty: tp.RemoteMemoryPenalty}
+		for _, sid := range info.SMTSiblings.Cores() {
+			if sid != i {
+				c.smt = append(c.smt, &cores[sid])
+			}
+		}
 		if d := tp.MemDomainOf(i); d >= 0 {
 			c.mem = &m.memDomains[d]
+			c.mem.cores = append(c.mem.cores, c)
 		}
 		c.sh = &m.shardStates[c.shard]
 		c.sched = cfg.NewScheduler(i)
@@ -261,21 +272,6 @@ func New(tp *topo.Topology, cfg Config) *Machine {
 		c.stopEv = eventq.NewEvent(func(now int64) { c.onStop() })
 		c.visitYield = c.yieldWaiter
 		m.Cores = append(m.Cores, c)
-	}
-	for _, c := range m.Cores {
-		for _, sid := range c.info.SMTSiblings.Cores() {
-			if sid != c.id {
-				c.smtMates = append(c.smtMates, int32(sid))
-				c.shareMates = append(c.shareMates, int32(sid))
-			}
-		}
-		if c.mem != nil {
-			for _, sid := range c.mem.cores {
-				if int(sid) != c.id && !c.info.SMTSiblings.Has(int(sid)) {
-					c.shareMates = append(c.shareMates, sid)
-				}
-			}
-		}
 	}
 	m.nOnline = len(m.Cores)
 	m.placer = leastLoadedPlacer{}
@@ -1166,11 +1162,20 @@ func (m *Machine) offQueue(t *task.Task, st task.State) {
 }
 
 // sharedWith visits every other core whose effective speed depends on
-// this core's occupancy — SMT siblings and memory-domain mates
-// (precomputed per core at New).
+// this core's occupancy: its SMT siblings, then its memory domain's
+// cores outside its own SMT group, in topology order. topo.Validate
+// makes SMT sibling sets a partition, so equal smtGroup means exactly
+// "a sibling or c itself".
 func (m *Machine) sharedWith(c *Core, fn func(o *Core)) {
-	for _, s := range c.shareMates {
-		fn(m.Cores[s])
+	for _, o := range c.smt {
+		fn(o)
+	}
+	if d := c.mem; d != nil {
+		for _, o := range d.cores {
+			if o.smtGroup != c.smtGroup {
+				fn(o)
+			}
+		}
 	}
 }
 
@@ -1242,11 +1247,10 @@ func (m *Machine) Run(until int64) int64 {
 		if parallel && m.tryWindow(until) {
 			continue
 		}
-		e := m.events.Peek()
-		if e == nil || e.At > until {
+		e := m.events.PopUntil(until)
+		if e == nil {
 			break
 		}
-		m.events.Pop()
 		if e.At > m.now {
 			m.now = e.At
 		}

@@ -1,11 +1,12 @@
 package sim_test
 
-// The contention model memoizes each memory domain's bandwidth demand. A
-// memo read after the domain's occupancy moved would retire work at the
-// wrong rate without crashing anything, so these tests audit every memo
-// at every trace emission and chunk boundary of three memory-contended
-// machines, and pin each run's end state to a digest recorded before the
-// memo existed.
+// The contention model memoizes each memory domain's bandwidth demand,
+// and beside it the bandwidth factor that demand imposes. A memo read
+// after the domain's occupancy moved would retire work at the wrong rate
+// without crashing anything, so these tests audit every memo at every
+// trace emission and chunk boundary of four memory-contended machines,
+// and pin each run's end state to a digest recorded before the memos
+// existed.
 
 import (
 	"crypto/sha256"
@@ -27,8 +28,9 @@ import (
 )
 
 // memoAudit checks every memory domain's demand memo against a fresh
-// in-order sum. Installed as the machine's tracer it runs at every
-// emission; the run loop calls it again at every chunk boundary.
+// in-order sum, and its bandwidth-factor memo against a fresh factor at
+// that sum. Installed as the machine's tracer it runs at every emission;
+// the run loop calls it again at every chunk boundary.
 type memoAudit struct {
 	t      *testing.T
 	m      *sim.Machine

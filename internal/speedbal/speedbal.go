@@ -25,6 +25,8 @@
 package speedbal
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 
@@ -239,6 +241,12 @@ type Balancer struct {
 	boundsScratch []float64
 	probOf        []float64
 	predSlowest   []int
+	// cands and victims are balance's and pickVictim's candidate lists,
+	// kept across passes. One pair per balancer is race-free: its wakes
+	// run inside a parallel window only when all its cores share one
+	// shard.
+	cands   []pullCand
+	victims []*task.Task
 	// occAtSample[j] is how many runnable tasks shared core j when its
 	// speed was last sampled (≥1); the placer multiplies it back out to
 	// recover the core's capacity from the per-thread speed, then
@@ -1007,6 +1015,16 @@ func (b *Balancer) auditPrediction(j int, eff, probs []float64) {
 	}
 }
 
+// pullCand is one remote core balance may pull from: its index k, the
+// speed sk it qualified at, its distance from the local core, and
+// whether it qualified only predictively.
+type pullCand struct {
+	k        int
+	sk       float64
+	dist     topo.Distance
+	predOnly bool
+}
+
 // balance is step 4 of §5.1: if the local core is faster than the global
 // average, pull one thread from a suitable slower core. With prediction
 // active the decision runs on *effective* speeds (realized blended
@@ -1057,13 +1075,7 @@ func (b *Balancer) balance(j int, now int64) {
 	// slowest one that actually holds a migratable managed thread (a
 	// core occupied only by unrelated work is slow but has nothing for
 	// us to take).
-	type cand struct {
-		k        int
-		sk       float64
-		dist     topo.Distance
-		predOnly bool
-	}
-	var cands []cand
+	cands := b.cands[:0]
 	for k, remote := range b.cores {
 		if k == j || b.speeds[k] < 0 {
 			continue
@@ -1130,20 +1142,16 @@ func (b *Balancer) balance(j int, now int64) {
 			}
 			continue
 		}
-		cands = append(cands, cand{k, sk, d, predOnly})
+		cands = append(cands, pullCand{k, sk, d, predOnly})
 	}
+	b.cands = cands
 	// Prefer nearby sources: migrations between cache-sharing cores are
 	// orders of magnitude cheaper, which is why §5.2 lets them happen
 	// more often ("migrations ... twice as often between cores that
-	// share a cache"). Ties break toward the slowest core.
-	sort.Slice(cands, func(a, bb int) bool {
-		if cands[a].dist != cands[bb].dist {
-			return cands[a].dist < cands[bb].dist
-		}
-		if cands[a].sk != cands[bb].sk {
-			return cands[a].sk < cands[bb].sk
-		}
-		return cands[a].k < cands[bb].k
+	// share a cache"). Ties break toward the slowest core. k is unique
+	// and no NaN speed qualifies, so the order is total.
+	slices.SortFunc(cands, func(a, c pullCand) int {
+		return cmp.Or(cmp.Compare(a.dist, c.dist), cmp.Compare(a.sk, c.sk), cmp.Compare(a.k, c.k))
 	})
 	for _, c := range cands {
 		victim := b.pickVictim(b.cores[c.k], local)
@@ -1240,7 +1248,7 @@ func (b *Balancer) countManaged(core int) int {
 // pickVictim chooses which managed thread to pull off the remote core:
 // the least-migrated by default.
 func (b *Balancer) pickVictim(remote, local int) *task.Task {
-	var cands []*task.Task
+	cands := b.victims[:0]
 	for _, t := range b.members[b.coreIdx[remote]] {
 		if t.State == task.Sleeping || t.State == task.Blocked {
 			// Re-pinning a sleeper is possible but pointless: its
@@ -1249,6 +1257,7 @@ func (b *Balancer) pickVictim(remote, local int) *task.Task {
 		}
 		cands = append(cands, t)
 	}
+	b.victims = cands
 	if len(cands) == 0 {
 		return nil
 	}

@@ -78,7 +78,41 @@ type Sched struct {
 }
 
 // Task is a schedulable entity.
+//
+// The fields up to Sched are the ones the machine reads and writes on
+// every task it settles and re-arms when a core's occupancy changes (its
+// contention walk over a memory domain); they come first so that a
+// visit touches as few cache lines as possible.
 type Task struct {
+	// Run-state for the current action; owned by the machine.
+	Cur Exec
+	// WarmupLeft is the remaining cache-refill delay the task must pay
+	// (accrues exec time but no progress).
+	WarmupLeft time.Duration
+	// MemIntensity in [0,1] is the fraction of execution bound by
+	// memory locality: it scales the NUMA remote-access penalty.
+	MemIntensity float64
+	// HomeNode is the NUMA node holding the task's pages. -1 until the
+	// task first runs (first-touch placement).
+	HomeNode int
+	// ExecTime is the total CPU time the task has consumed, the
+	// numerator of the paper's speed = t_exec / t_real. It includes
+	// spin-waiting and migration warmup, exactly as /proc accounting
+	// would.
+	ExecTime time.Duration
+	// WorkDone is the cumulative retired work (speed-1.0 nanoseconds).
+	// It is the simulator's stand-in for a retired-instruction
+	// performance counter: §7 discusses speed measures "based on
+	// sampling performance counters" as an alternative to exec/real.
+	// Unlike ExecTime it excludes spin-waiting, warmup stalls and
+	// contention losses.
+	WorkDone float64
+	// LastRanAt is when the task last ran (for the Linux 5 ms cache-hot
+	// heuristic).
+	LastRanAt int64
+	// Sched is owned by the per-core scheduler.
+	Sched Sched
+
 	ID   int
 	Name string
 	// Nice is the Unix nice level in [-20, 19]; 0 is the default.
@@ -100,12 +134,6 @@ type Task struct {
 	// RSS is the resident set size in bytes, used for migration warmup
 	// costs.
 	RSS int64
-	// MemIntensity in [0,1] is the fraction of execution bound by
-	// memory locality: it scales the NUMA remote-access penalty.
-	MemIntensity float64
-	// HomeNode is the NUMA node holding the task's pages. -1 until the
-	// task first runs (first-touch placement).
-	HomeNode int
 
 	// State is maintained by the machine.
 	State State
@@ -113,26 +141,10 @@ type Task struct {
 	// once placed.
 	CoreID int
 
-	// Sched is owned by the per-core scheduler.
-	Sched Sched
-
-	// ExecTime is the total CPU time the task has consumed, the
-	// numerator of the paper's speed = t_exec / t_real. It includes
-	// spin-waiting and migration warmup, exactly as /proc accounting
-	// would.
-	ExecTime time.Duration
-	// WorkDone is the cumulative retired work (speed-1.0 nanoseconds).
-	// It is the simulator's stand-in for a retired-instruction
-	// performance counter: §7 discusses speed measures "based on
-	// sampling performance counters" as an alternative to exec/real.
-	// Unlike ExecTime it excludes spin-waiting, warmup stalls and
-	// contention losses.
-	WorkDone float64
 	// StartedAt and FinishedAt bracket the task's life (ns sim time).
 	StartedAt, FinishedAt int64
-	// LastRanAt is when the task last ran (for the Linux 5 ms cache-hot
-	// heuristic). LastEnqueuedAt is when it last joined a queue.
-	LastRanAt, LastEnqueuedAt int64
+	// LastEnqueuedAt is when the task last joined a queue.
+	LastEnqueuedAt int64
 	// FirstRanAt is when the task first got the CPU (−1 until it has):
 	// FirstRanAt − StartedAt is the admission-to-first-run latency of an
 	// open-system job.
@@ -152,12 +164,6 @@ type Task struct {
 	Migrations int
 	// LastMigratedAt is when the task last moved cores.
 	LastMigratedAt int64
-	// WarmupLeft is the remaining cache-refill delay the task must pay
-	// (accrues exec time but no progress).
-	WarmupLeft time.Duration
-
-	// Run-state for the current action; owned by the machine.
-	Cur Exec
 }
 
 // Exec is the in-progress execution state of a task's current action.

@@ -388,6 +388,11 @@ func (t *Topology) Validate() error {
 		if !c.SMTSiblings.Has(i) {
 			return fmt.Errorf("core %d not in its own SMT sibling set", i)
 		}
+		for _, s := range c.SMTSiblings.Cores() {
+			if s >= n || t.Cores[s].SMTSiblings != c.SMTSiblings {
+				return fmt.Errorf("core %d and its SMT sibling %d list different sibling sets", i, s)
+			}
+		}
 		if c.Node < 0 || c.Node >= t.NUMANodes {
 			return fmt.Errorf("core %d on node %d outside [0,%d)", i, c.Node, t.NUMANodes)
 		}

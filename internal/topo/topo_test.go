@@ -210,6 +210,12 @@ func TestValidateCatchesBadTopology(t *testing.T) {
 	if err := m.Validate(); err == nil {
 		t.Error("zero mem capacity not caught")
 	}
+
+	m = Nehalem()
+	m.Cores[3].SMTSiblings = m.Cores[3].SMTSiblings.Add(4)
+	if err := m.Validate(); err == nil {
+		t.Error("asymmetric SMT sibling sets not caught")
+	}
 }
 
 func TestGroupOf(t *testing.T) {
