@@ -60,7 +60,7 @@ var allocRows = []struct {
 		cfg := speedbal.Config{Predict: predict.DefaultConfig()}
 		return steady(speedScenario("predict", cfg, nil), time.Second, 100*time.Millisecond), nil
 	}},
-	{"perturb", false, 20, 8, func(*testing.T) (func(), func() int) {
+	{"perturb", false, 20, 0, func(*testing.T) (func(), func() int) {
 		return steady(speedScenario("perturb", speedbal.Config{}, addPerturbation), time.Second, 100*time.Millisecond), nil
 	}},
 	{"fab1k", true, 1, 35, func(*testing.T) (func(), func() int) {

@@ -22,11 +22,11 @@
 //	             every -parallel level
 //	-metrics     collect and print scheduler metrics (migration counts,
 //	             speed-sample and barrier-wait histograms, busy fractions)
-//	-perturb L   inject deterministic faults into every run: comma-
-//	             separated families from noise, kthread (schedulable
-//	             noise), hotplug, freq, storm, or all (see
-//	             internal/perturb); schedules derive from -seed, so
-//	             perturbed tables stay bit-identical at any -parallel
+//	-perturb L   inject deterministic faults into every run that sets
+//	             none itself: comma-separated families from noise,
+//	             kthread (schedulable noise), hotplug, freq, storm, or
+//	             all (see internal/perturb); schedules derive from -seed,
+//	             so perturbed tables stay bit-identical at any -parallel
 //	-predict     arm the speed balancer's predictive mode (anticipatory
 //	             pulls and wake-time placement from streaming per-core
 //	             speed distributions) in every SPEED run; inert for
@@ -146,7 +146,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintf(stderr, "lbos: %v\n", err)
 			return 1
 		}
-		ctx.Trace = exp.NewTraceSink(f, 0)
+		ctx.Trace = exp.NewTraceSink(f)
 		defer func() {
 			err := ctx.Trace.Close()
 			if cerr := f.Close(); err == nil {

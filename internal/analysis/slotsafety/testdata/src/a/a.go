@@ -3,21 +3,23 @@
 // variables or mutate state shared across concurrently running cells.
 package a
 
-// RunResult mirrors exp.RunResult.
+// RunResult and RunOpts mirror exp.RunResult and exp.RunOpts.
 type RunResult struct{ Elapsed int64 }
+
+type RunOpts struct{ Seed uint64 }
 
 // Runner mirrors exp.Runner's submission surface; the analyzer matches
 // the named type, so this double exercises the same code path.
 type Runner struct{}
 
-func (r *Runner) SubmitFunc(label string, run func() RunResult, fn func(RunResult)) {}
+func (r *Runner) SubmitFunc(label string, run func(RunOpts) RunResult, fn func(RunResult)) {}
 
 func measure(seed uint64) RunResult { return RunResult{Elapsed: int64(seed)} }
 
 func capturesIndexVar(r *Runner, seeds []uint64) {
 	for i := 0; i < len(seeds); i++ {
 		r.SubmitFunc("cell",
-			func() RunResult { return measure(seeds[i]) }, // want "captures loop variable i"
+			func(RunOpts) RunResult { return measure(seeds[i]) }, // want "captures loop variable i"
 			nil)
 	}
 }
@@ -25,7 +27,7 @@ func capturesIndexVar(r *Runner, seeds []uint64) {
 func capturesRangeVar(r *Runner, seeds []uint64) {
 	for _, s := range seeds {
 		r.SubmitFunc("cell",
-			func() RunResult { return measure(s) }, // want "captures loop variable s"
+			func(RunOpts) RunResult { return measure(s) }, // want "captures loop variable s"
 			nil)
 	}
 }
@@ -34,7 +36,7 @@ func mutatesSharedCounter(r *Runner, seeds []uint64) int {
 	done := 0
 	for _, s := range seeds {
 		s := s
-		r.SubmitFunc("cell", func() RunResult {
+		r.SubmitFunc("cell", func(RunOpts) RunResult {
 			done++ // want "mutates done"
 			return measure(s)
 		}, nil)
@@ -46,7 +48,7 @@ func mutatesSharedSlice(r *Runner, seeds []uint64) []int64 {
 	var out []int64
 	for _, s := range seeds {
 		s := s
-		r.SubmitFunc("cell", func() RunResult {
+		r.SubmitFunc("cell", func(RunOpts) RunResult {
 			res := measure(s)
 			out = append(out, res.Elapsed) // want "mutates out"
 			return res
@@ -59,7 +61,7 @@ func mutatesSharedMap(r *Runner, seeds []uint64) map[uint64]int64 {
 	seen := map[uint64]int64{}
 	for _, s := range seeds {
 		s := s
-		r.SubmitFunc("cell", func() RunResult {
+		r.SubmitFunc("cell", func(RunOpts) RunResult {
 			res := measure(s)
 			seen[s] = res.Elapsed // want "mutates seen"
 			delete(seen, 0)       // want "mutates seen"
@@ -70,7 +72,7 @@ func mutatesSharedMap(r *Runner, seeds []uint64) map[uint64]int64 {
 }
 
 func mutatesThroughField(r *Runner, agg *struct{ total int64 }) {
-	r.SubmitFunc("cell", func() RunResult {
+	r.SubmitFunc("cell", func(RunOpts) RunResult {
 		res := measure(1)
 		agg.total += res.Elapsed // want "mutates agg"
 		return res

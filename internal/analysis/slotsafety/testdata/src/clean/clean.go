@@ -5,9 +5,11 @@ package clean
 
 type RunResult struct{ Elapsed int64 }
 
+type RunOpts struct{ Seed uint64 }
+
 type Runner struct{}
 
-func (r *Runner) SubmitFunc(label string, run func() RunResult, fn func(RunResult)) {}
+func (r *Runner) SubmitFunc(label string, run func(RunOpts) RunResult, fn func(RunResult)) {}
 
 type spec struct{ work int64 }
 
@@ -20,7 +22,7 @@ func snapshot(r *Runner, seeds []uint64) {
 	for _, seed := range seeds {
 		seed := seed
 		r.SubmitFunc("cell",
-			func() RunResult { return measure(s, seed) },
+			func(RunOpts) RunResult { return measure(s, seed) },
 			nil)
 	}
 }
@@ -33,7 +35,7 @@ func aggregateInCallback(r *Runner, seeds []uint64) []int64 {
 	for _, seed := range seeds {
 		seed := seed
 		r.SubmitFunc("cell",
-			func() RunResult { return measure(s, seed) },
+			func(RunOpts) RunResult { return measure(s, seed) },
 			func(res RunResult) { out = append(out, res.Elapsed) })
 	}
 	return out
@@ -45,7 +47,7 @@ func bodyLocal(r *Runner, seeds []uint64) {
 		seed := seed
 		retries := 0
 		_ = retries
-		r.SubmitFunc("cell", func() RunResult {
+		r.SubmitFunc("cell", func(RunOpts) RunResult {
 			local := measure(spec{}, seed)
 			local.Elapsed *= 2
 			return local
@@ -55,7 +57,7 @@ func bodyLocal(r *Runner, seeds []uint64) {
 
 // allowed demonstrates the escape hatch for a deliberate shared write.
 func allowed(r *Runner, counter *int) {
-	r.SubmitFunc("cell", func() RunResult {
+	r.SubmitFunc("cell", func(RunOpts) RunResult {
 		*counter++ //lint:allow-slotsafety intentionally racy debug counter
 		return RunResult{}
 	}, nil)

@@ -9,16 +9,14 @@ import "time"
 // Machine, Queue, Timer, and Stopwatch mirror the repo's timer surfaces.
 type Machine struct{}
 
-func (m *Machine) Now() int64                      { return 0 }
-func (m *Machine) Run(until int64) int64           { return until }
-func (m *Machine) At(at int64, fn func(now int64)) {}
+func (m *Machine) Now() int64            { return 0 }
+func (m *Machine) Run(until int64) int64 { return until }
 
 type Event struct{ At int64 }
 
 type Queue struct{}
 
-func (q *Queue) Push(at int64, fn func(now int64)) *Event { return &Event{} }
-func (q *Queue) Schedule(e *Event, at int64)              {}
+func (q *Queue) Schedule(e *Event, at int64) {}
 
 type Timer struct{}
 

@@ -1,5 +1,5 @@
 // Package clean holds the sanctioned unit-crossing idioms that must
-// never fire: now + int64(d), duration-since-start Run/At on a fresh
+// never fire: now + int64(d), duration-since-start Run on a fresh
 // machine, untracked values mixed with durations, and wall time kept to
 // progress reporting.
 package clean
@@ -10,16 +10,21 @@ type Machine struct {
 	q Queue
 }
 
-func (m *Machine) Now() int64                      { return 0 }
-func (m *Machine) Run(until int64) int64           { return until }
-func (m *Machine) At(at int64, fn func(now int64)) {}
+func (m *Machine) Now() int64                         { return 0 }
+func (m *Machine) Run(until int64) int64              { return until }
+func (m *Machine) NewTimer(fn func(now int64)) *Timer { return &Timer{} }
 
 type Event struct{ At int64 }
 
+func NewEvent(fn func(now int64)) *Event { return &Event{} }
+
 type Queue struct{}
 
-func (q *Queue) Push(at int64, fn func(now int64)) *Event { return &Event{} }
-func (q *Queue) Schedule(e *Event, at int64)              {}
+func (q *Queue) Schedule(e *Event, at int64) {}
+
+type Timer struct{}
+
+func (t *Timer) Schedule(at int64) {}
 
 // scheduleNext is the conversion-site idiom: base + int64(duration).
 func scheduleNext(q *Queue, e *Event, m *Machine, interval time.Duration) {
@@ -28,32 +33,32 @@ func scheduleNext(q *Queue, e *Event, m *Machine, interval time.Duration) {
 
 // runForDuration: "run until int64(d)" on a fresh machine is
 // duration-since-start, the repo's pervasive test idiom — Machine.Run
-// and At accept it by design.
+// accepts it by design.
 func runForDuration(m *Machine) int64 {
 	return m.Run(int64(10 * time.Second))
 }
 
-func atOffset(m *Machine) {
-	m.At(int64(6*time.Millisecond), func(now int64) {})
-}
-
 // directCallback: the callback's now parameter is simulated time, so
-// now + int64(interval) is SimTime and the nested re-push is clean.
-func directCallback(q *Queue, interval time.Duration) {
-	q.Push(1000, func(now int64) {
-		q.Push(now+int64(interval), func(int64) {})
+// now + int64(interval) is SimTime and the re-arm is clean.
+func directCallback(m *Machine, interval time.Duration) {
+	var t *Timer
+	t = m.NewTimer(func(now int64) {
+		t.Schedule(now + int64(interval))
 	})
+	t.Schedule(m.Now() + int64(interval))
 }
 
-// periodicTimer re-pushes through a named closure: the now parameter is
+// periodicTimer re-arms through a named closure: the now parameter is
 // untracked there, and untracked + duration stays untracked — the
 // analyzer only reports provable unit errors.
 func periodicTimer(q *Queue, interval time.Duration) {
+	var e *Event
 	var tick func(now int64)
 	tick = func(now int64) {
-		q.Push(now+int64(interval), tick)
+		q.Schedule(e, now+int64(interval))
 	}
-	q.Push(0, tick)
+	e = NewEvent(tick)
+	q.Schedule(e, 0)
 }
 
 // spanCompare: subtracting two sim timestamps yields a span, and spans

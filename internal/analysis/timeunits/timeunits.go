@@ -14,15 +14,15 @@
 //   - wall-clock-derived values (time.Now/Since/Until chains,
 //     Unix*/Nanoseconds on them, clock.Stopwatch.Elapsed) reaching any
 //     simulated-time sink — the scheduling argument of Queue/Sharded
-//     Push/Schedule, Timer.Schedule, Machine.At/Run — or mixed
-//     arithmetically with simulated time anywhere;
+//     Schedule, Timer.Schedule, Machine.Run — or mixed arithmetically
+//     with simulated time anywhere;
 //   - a purely duration-derived value (int64(d), d.Nanoseconds()) used
 //     as the absolute time of a *re*-scheduling sink (Queue/Sharded
-//     Push/Schedule, Timer.Schedule): scheduling at
-//     t = interval instead of t = now + interval silently schedules in
-//     the dead past or the wrong epoch. Machine.Run/At are exempt from
-//     this rule — running a fresh machine "until int64(d)" is the
-//     repo's pervasive duration-since-start idiom and is well-defined.
+//     Schedule, Timer.Schedule): scheduling at t = interval instead of
+//     t = now + interval silently schedules in the dead past or the
+//     wrong epoch. Machine.Run is exempt from this rule — running a
+//     fresh machine "until int64(d)" is the repo's pervasive
+//     duration-since-start idiom and is well-defined.
 //
 // Taint sources: Machine.Now()/Run() results and the int64 parameter of
 // a callback literal handed to a timer API are SimTime; Event.At is
@@ -77,10 +77,10 @@ func (t taint) String() string {
 // absSinks maps receiver type -> method -> index of the absolute-time
 // argument. All of them reject wall taint.
 var absSinks = map[string]map[string]int{
-	"Queue":   {"Push": 0, "Schedule": 1},
-	"Sharded": {"Push": 1, "Schedule": 2},
+	"Queue":   {"Schedule": 1},
+	"Sharded": {"Schedule": 2},
 	"Timer":   {"Schedule": 0},
-	"Machine": {"At": 0, "Run": 0},
+	"Machine": {"Run": 0},
 }
 
 // rescheduleSinks is the subset of absSinks whose argument must not be a
@@ -92,8 +92,7 @@ var rescheduleSinks = map[string]bool{"Queue": true, "Sharded": true, "Timer": t
 // argument receives the firing time: the literal's int64 parameter is a
 // SimTime source.
 var callbackTakers = map[string]map[string]bool{
-	"Queue":   {"Push": true},
-	"Machine": {"At": true, "After": true, "NewTimer": true, "NewCoreTimer": true},
+	"Machine": {"NewTimer": true, "NewCoreTimer": true},
 }
 
 // state maps int64-ish local variables to their unit taint.

@@ -25,6 +25,14 @@ func CPUHog(m *sim.Machine, core int) *task.Task {
 	return t
 }
 
+// A make -j compile job's fixed size.
+const (
+	// jobWork is the mean compute per job (speed-1.0 ns: 80 ms).
+	jobWork = 80e6
+	// jobRSS is each job's resident set (64 MB).
+	jobRSS = 64 << 20
+)
+
 // MakeJ models "make -j N": a driver that keeps up to Width compile
 // jobs in flight. Each job computes for a random duration, interleaved
 // with I/O sleeps (reading sources, writing objects), then exits and is
@@ -36,10 +44,6 @@ type MakeJ struct {
 	Width int
 	// Affinity restricts jobs to a core subset; zero means all cores.
 	Affinity cpuset.Set
-	// JobWork is the mean compute per job (speed-1.0 ns; default 80 ms).
-	JobWork float64
-	// JobRSS is each job's resident set (default 64 MB).
-	JobRSS int64
 	// Duration stops spawning after this much simulated time runs out
 	// (0 = run forever).
 	Duration time.Duration
@@ -58,12 +62,6 @@ func (mk *MakeJ) Start(m *sim.Machine) {
 	if mk.Width <= 0 {
 		mk.Width = 4
 	}
-	if mk.JobWork <= 0 {
-		mk.JobWork = 80e6
-	}
-	if mk.JobRSS <= 0 {
-		mk.JobRSS = 64 << 20
-	}
 	if mk.Affinity.Empty() {
 		mk.Affinity = m.Topo.AllCores()
 	}
@@ -80,7 +78,7 @@ func (mk *MakeJ) Start(m *sim.Machine) {
 			return
 		}
 		// The driver spawns a replacement job after a brief fork gap.
-		mk.m.After(200*time.Microsecond, func(int64) { mk.spawn() })
+		mk.m.NewTimer(func(int64) { mk.spawn() }).ScheduleAfter(200 * time.Microsecond)
 	})
 	for i := 0; i < mk.Width; i++ {
 		mk.spawn()
@@ -96,7 +94,7 @@ func (mk *MakeJ) spawn() {
 	}
 	// A compile job: read sources (I/O sleep), compute in bursts with
 	// occasional page-cache stalls, write output (I/O sleep).
-	work := mk.JobWork * (0.5 + mk.rng.Float64())
+	work := jobWork * (0.5 + mk.rng.Float64())
 	bursts := 4
 	actions := []task.Action{task.Sleep(time.Duration(1+mk.rng.Intn(3)) * time.Millisecond)}
 	for i := 0; i < bursts; i++ {
@@ -109,7 +107,7 @@ func (mk *MakeJ) spawn() {
 	t := mk.m.NewTask(fmt.Sprintf("make.job%d", mk.JobsFinished), &task.Seq{Actions: actions})
 	t.Group = "make"
 	t.Affinity = mk.Affinity
-	t.RSS = mk.JobRSS
+	t.RSS = jobRSS
 	t.MemIntensity = 0.3
 	mk.m.Start(t)
 }

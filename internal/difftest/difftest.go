@@ -78,7 +78,7 @@ func RunExperiment(id string, reps, scale int, seed uint64, s Settings) (Capture
 	var traceBuf bytes.Buffer
 	ctx := &exp.Context{Reps: reps, Scale: scale, Seed: seed, Parallelism: s.Parallelism}
 	if !s.Bare {
-		ctx.Trace = exp.NewTraceSink(&traceBuf, 0)
+		ctx.Trace = exp.NewTraceSink(&traceBuf)
 		ctx.Metrics = metrics.NewAggregate()
 	}
 	var tables strings.Builder

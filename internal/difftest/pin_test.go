@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
+
+	"repro/internal/exp"
 )
 
 // pinned are digests of contended experiment captures (tables, trace
@@ -26,8 +28,8 @@ var pinned = []struct {
 }{
 	{"noise-omps", "6bad360dd8acbbdf"},
 	{"ext-smt", "1edfd8490708c1b5"},
-	{"open-bakeoff", "f7fbd287b19b3ad4"},
-	{"predict-bakeoff", "23bef9761a07a991"},
+	{"open-bakeoff", "cdea58eb9902aceb"},
+	{"predict-bakeoff", "00fe08260e2ecd0e"},
 	{"fig2", "8967366c6a7543f5"},
 	{"fig3t", "984a2426b22bc6c8"},
 }
@@ -43,14 +45,99 @@ func TestPinnedContendedCaptures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h := sha256.New()
-			for _, b := range [][]byte{[]byte(c.Tables), c.Trace, []byte(c.Metrics)} {
-				h.Write(b)
-				h.Write([]byte{0})
-			}
-			if got := hex.EncodeToString(h.Sum(nil)[:8]); got != p.digest {
+			if got := digest([]byte(c.Tables), c.Trace, []byte(c.Metrics)); got != p.digest {
 				t.Errorf("capture digest %s, pinned %s", got, p.digest)
 			}
 		})
 	}
+}
+
+// registryPins holds two digests of every registered experiment's
+// capture at reps 1, scale 32, seed 20100109: one of the rendered
+// tables, and one of the trace bytes plus the metrics tables. A change
+// that must not move an output byte keeps both; a change to what a run
+// records but not to what it measures moves only the second. A
+// deliberate output change re-records a row with the line its failure
+// prints.
+var registryPins = []struct {
+	id, tables, observed string
+}{
+	{"abl-horizon", "9510a6948fb8a2e4", "829aa64dc3102bfa"},
+	{"abl-int", "1ae902a18822d772", "f26ea2745751622d"},
+	{"abl-jit", "5df3517357af9283", "deeabe535f3bae88"},
+	{"abl-numa", "3c0e2197625a210b", "7e0bc7c3bce9cba4"},
+	{"abl-pull", "8c49516bbdcfa806", "af502054786d32c6"},
+	{"abl-ts", "ba37ee5d8e00d6f0", "cb1405ef953b5fb9"},
+	{"ext-measure", "4f46a146d1e0656e", "5c119edc26be77da"},
+	{"ext-smt", "c9734ba4c174009e", "c6f7bac15be405d5"},
+	{"ext-swap", "9dec8d9a9b255667", "bb1dffd86f4efd46"},
+	{"fig1", "ff14193fe71fe1db", "0d10260a84d2cc6f"},
+	{"fig2", "79cfc3953c597f69", "3abf9f9c22f9d238"},
+	{"fig3b", "c50f29d37ad0fea5", "7c7dcde38aa1f40e"},
+	{"fig3t", "913f7968d7393188", "3e1c2b3895477203"},
+	{"fig4", "6107f2ada284ae4f", "a905491ee1d6b63a"},
+	{"fig4omp", "6c0d55d0f1f72011", "c4898fdac0c554b4"},
+	{"fig5", "b7f77ef862b3ead6", "cf11911eda1307f4"},
+	{"fig6", "2ace200059606950", "ee4affc3db4e0342"},
+	{"hotplug-churn", "a175d05d87f4feea", "2efc60cce05162ad"},
+	{"noise-omps", "dfbf3f95017d259e", "2168b94067a1e32b"},
+	{"ompS", "2ea691c081b64b2e", "2e3c5b4e5944362f"},
+	{"open-bakeoff", "1fc91b2a5fed441e", "19ebff36d8c50368"},
+	{"predict-bakeoff", "959f0b1a6e5fc5fd", "272a1003251a2322"},
+	{"table1", "5b8847737946502e", "0d10260a84d2cc6f"},
+	{"table2", "1d973c11bffd14d9", "cc8f93c009288155"},
+	{"table3", "db2e7e489dcd1876", "a905491ee1d6b63a"},
+}
+
+// TestEveryExperimentPinned fails when a registered experiment has no
+// row in registryPins, so a new experiment cannot land unpinned, and
+// when a row names an experiment that is no longer registered.
+func TestEveryExperimentPinned(t *testing.T) {
+	rows := map[string]bool{}
+	for _, p := range registryPins {
+		if rows[p.id] {
+			t.Errorf("%s is pinned twice", p.id)
+		}
+		rows[p.id] = true
+		if _, err := exp.ByID(p.id); err != nil {
+			t.Errorf("pinned %s is not registered", p.id)
+		}
+	}
+	for _, e := range exp.All() {
+		if !rows[e.ID] {
+			t.Errorf("registered experiment %s has no pin", e.ID)
+		}
+	}
+}
+
+func TestRegistryPins(t *testing.T) {
+	if testing.Short() {
+		t.Skip("registry pins skipped in short mode")
+	}
+	for _, p := range registryPins {
+		t.Run(p.id, func(t *testing.T) {
+			t.Parallel()
+			c, err := RunExperiment(p.id, 1, 32, 20100109, Settings{Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tables := digest([]byte(c.Tables))
+			observed := digest(c.Trace, []byte(c.Metrics))
+			if tables != p.tables || observed != p.observed {
+				t.Errorf("tables %s, observed %s; pinned %s, %s; re-record as\n\t{%q, %q, %q},",
+					tables, observed, p.tables, p.observed, p.id, tables, observed)
+			}
+		})
+	}
+}
+
+// digest is the first 8 bytes of the SHA-256 of parts, each followed by
+// a zero byte, in hex.
+func digest(parts ...[]byte) string {
+	h := sha256.New()
+	for _, b := range parts {
+		h.Write(b)
+		h.Write([]byte{0})
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
 }

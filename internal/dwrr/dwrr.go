@@ -24,37 +24,19 @@ import (
 	"repro/internal/trace"
 )
 
-// Config tunes the scheduler.
-type Config struct {
-	// RoundSlice is the per-round CPU quantum per task (100 ms in the
-	// 2.6.22 DWRR, 30 ms in 2.6.24; the paper used the former).
-	RoundSlice time.Duration
-	// Slice is the interleaving quantum within a round (O(1)-scheduler
-	// style round-robin at equal priority).
-	Slice time.Duration
-}
-
-// DefaultConfig returns the 2.6.22-era parameters.
-func DefaultConfig() Config {
-	return Config{RoundSlice: 100 * time.Millisecond, Slice: 100 * time.Millisecond}
-}
+// roundSlice is the per-round CPU quantum per task (100 ms in the
+// 2.6.22 DWRR, 30 ms in 2.6.24; the paper used the former).
+const roundSlice = 100 * time.Millisecond
 
 // Global coordinates the per-core queues: round numbers and stealing.
 type Global struct {
-	cfg    Config
 	m      *sim.Machine
 	queues []*Queue
 }
 
 // NewFactory returns a scheduler factory and the shared coordinator.
-func NewFactory(cfg Config) (func(coreID int) sim.Scheduler, *Global) {
-	if cfg.RoundSlice == 0 {
-		cfg = DefaultConfig()
-	}
-	if cfg.Slice == 0 {
-		cfg.Slice = cfg.RoundSlice
-	}
-	g := &Global{cfg: cfg}
+func NewFactory() (func(coreID int) sim.Scheduler, *Global) {
+	g := &Global{}
 	return func(coreID int) sim.Scheduler {
 		q := &Queue{g: g, core: coreID}
 		g.queues = append(g.queues, q)
@@ -135,7 +117,7 @@ func (q *Queue) Enqueue(t *task.Task, wakeup bool) bool {
 		t.Sched.RoundUsed = 0
 	}
 	t.Sched.Round = q.round
-	if t.Sched.RoundUsed >= q.g.cfg.RoundSlice {
+	if t.Sched.RoundUsed >= roundSlice {
 		// Already exhausted this round elsewhere: expired.
 		t.Sched.Round = q.round + 1
 		q.expired = append(q.expired, t)
@@ -255,7 +237,7 @@ func (q *Queue) PutPrev(t *task.Task) {
 	if q.cur == t {
 		q.cur = nil
 	}
-	if t.Sched.RoundUsed >= q.g.cfg.RoundSlice {
+	if t.Sched.RoundUsed >= roundSlice {
 		t.Sched.RoundUsed = 0
 		t.Sched.Round = q.round + 1
 		q.expired = append(q.expired, t)
@@ -282,18 +264,14 @@ func (q *Queue) AccountExec(t *task.Task, d time.Duration) {
 // live queue length, so the entitlement grows as tasks arrive — a round
 // may run long, but never unboundedly long while expired tasks wait.
 func (q *Queue) roundBudget() time.Duration {
-	return q.g.cfg.RoundSlice * time.Duration(q.NrRunnable())
+	return roundSlice * time.Duration(q.NrRunnable())
 }
 
-// Slice implements sim.Scheduler: run until the round slice is consumed
-// (bounded by the interleaving quantum).
+// Slice implements sim.Scheduler: run until the round slice is consumed.
 func (q *Queue) Slice(t *task.Task) time.Duration {
-	left := q.g.cfg.RoundSlice - t.Sched.RoundUsed
+	left := roundSlice - t.Sched.RoundUsed
 	if left < time.Millisecond {
 		left = time.Millisecond
-	}
-	if left > q.g.cfg.Slice {
-		left = q.g.cfg.Slice
 	}
 	return left
 }

@@ -12,7 +12,7 @@ import (
 )
 
 func newDWRR(n int, seed uint64) (*sim.Machine, *dwrr.Global) {
-	factory, g := dwrr.NewFactory(dwrr.DefaultConfig())
+	factory, g := dwrr.NewFactory()
 	m := sim.New(topo.SMP(n), sim.Config{Seed: seed, NewScheduler: factory})
 	return m, g
 }
@@ -153,10 +153,7 @@ func TestMigrationVolume(t *testing.T) {
 // remaining round — an extra ~100 ms of latency on every wake cycle,
 // which this end-to-end bound catches.
 func TestWakeAcrossRoundsGetsFreshBudget(t *testing.T) {
-	factory, _ := dwrr.NewFactory(dwrr.Config{
-		RoundSlice: 100 * time.Millisecond,
-		Slice:      10 * time.Millisecond,
-	})
+	factory, _ := dwrr.NewFactory()
 	m := sim.New(topo.SMP(1), sim.Config{Seed: 31, NewScheduler: factory})
 	hog := m.NewTask("hog", &task.ComputeForever{Chunk: 1e9})
 	m.Start(hog)
@@ -170,9 +167,10 @@ func TestWakeAcrossRoundsGetsFreshBudget(t *testing.T) {
 	if sleeper.State != task.Done {
 		t.Fatalf("sleeper state %v, want done", sleeper.State)
 	}
-	// Each cycle is ~190 ms of interleaved compute (fair share against
-	// the hog) plus the 300 ms sleep; the stale-budget bug adds an
-	// expired-queue wait of up to a full round per cycle on top.
+	// Each cycle is the 95 ms compute, run in one round slice, plus the
+	// 300 ms sleep, during which the hog takes three full slices: 400 ms.
+	// The stale-budget bug adds an expired-queue wait of up to a full
+	// round per cycle on top (9.8 s in all).
 	elapsed := time.Duration(sleeper.FinishedAt - sleeper.StartedAt)
 	t.Logf("sleeper finished in %v", elapsed)
 	if elapsed > iters*450*time.Millisecond {

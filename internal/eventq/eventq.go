@@ -14,14 +14,13 @@
 // its sub-queues the same way, and PopUntil finds and removes the
 // earliest event in one scan of those heads.
 //
-// The queue is the simulator's hottest allocation site, so it supports an
-// allocation-lean usage pattern on top of the classic Push/Pop:
-// caller-owned events (NewEvent + Schedule). A periodic timer — a core's
+// The queue is the simulator's hottest allocation site, so every event
+// is caller-owned (NewEvent + Schedule). A periodic timer — a core's
 // stop event, a balancer wake — allocates its Event and its callback
 // once and reschedules the same handle forever. Schedule moves a
 // still-pending event inside the heap without re-allocating, assigning a
 // fresh sequence number so same-time ordering follows the scheduling
-// order exactly as a remove+push would.
+// order exactly as a remove and re-insert would.
 package eventq
 
 // Time is an absolute simulation time in nanoseconds since the start of
@@ -74,20 +73,11 @@ type Queue struct {
 // Len returns the number of pending events.
 func (q *Queue) Len() int { return len(q.heap) }
 
-// Push schedules fn to fire at time at and returns the event handle,
-// which can be passed to Remove to cancel it. The event is allocated
-// fresh and never reused, so the handle stays valid indefinitely.
-func (q *Queue) Push(at Time, fn func(now Time)) *Event {
-	e := &Event{At: at, Fire: fn}
-	q.push(e)
-	return e
-}
-
 // Schedule inserts a caller-owned event at time at, or — if the event is
 // still pending — moves it there, re-allocating nothing. Either way the
 // event receives a fresh sequence number: among events at the same time it
-// fires in the order of the Schedule/Push calls, exactly as if it had
-// been removed and re-pushed.
+// fires in the order of the Schedule calls, exactly as if it had been
+// removed and re-inserted.
 func (q *Queue) Schedule(e *Event, at Time) {
 	e.At = at
 	if i := e.index; i >= 0 && i < len(q.heap) && q.heap[i].e == e {

@@ -6,12 +6,27 @@ import (
 	"testing/quick"
 )
 
+// pushNew schedules a new event for fn at time at and returns it: the
+// one-shot form of NewEvent and Schedule.
+func pushNew(q *Queue, at Time, fn func(now Time)) *Event {
+	e := NewEvent(fn)
+	q.Schedule(e, at)
+	return e
+}
+
+// pushNewOn is pushNew on sub-queue shard of s.
+func pushNewOn(s *Sharded, shard int, at Time, fn func(now Time)) *Event {
+	e := NewEvent(fn)
+	s.Schedule(e, shard, at)
+	return e
+}
+
 // Events pop in time order.
 func TestPopOrder(t *testing.T) {
 	var q Queue
 	times := []Time{50, 10, 30, 20, 40}
 	for _, at := range times {
-		q.Push(at, nil)
+		pushNew(&q, at, nil)
 	}
 	want := append([]Time(nil), times...)
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
@@ -33,7 +48,7 @@ func TestSameTimeStability(t *testing.T) {
 	var fired []int
 	for i := 0; i < 100; i++ {
 		i := i
-		q.Push(7, func(Time) { fired = append(fired, i) })
+		pushNew(&q, 7, func(Time) { fired = append(fired, i) })
 	}
 	for {
 		e := q.Pop()
@@ -52,9 +67,9 @@ func TestSameTimeStability(t *testing.T) {
 // Remove cancels exactly the chosen event, once.
 func TestRemove(t *testing.T) {
 	var q Queue
-	a := q.Push(1, nil)
-	b := q.Push(2, nil)
-	c := q.Push(3, nil)
+	a := pushNew(&q, 1, nil)
+	b := pushNew(&q, 2, nil)
+	c := pushNew(&q, 3, nil)
 	if !q.Remove(b) {
 		t.Fatal("Remove(b) = false")
 	}
@@ -83,8 +98,8 @@ func TestPeek(t *testing.T) {
 	if q.Peek() != nil {
 		t.Error("Peek on empty returned event")
 	}
-	q.Push(5, nil)
-	q.Push(2, nil)
+	pushNew(&q, 5, nil)
+	pushNew(&q, 2, nil)
 	if e := q.Peek(); e == nil || e.At != 2 {
 		t.Errorf("Peek = %v, want at=2", e)
 	}
@@ -105,7 +120,7 @@ func TestPropertyHeapOrdering(t *testing.T) {
 		var want []rec
 		for i, raw := range times {
 			at := Time(raw)
-			q.Push(at, nil)
+			pushNew(&q, at, nil)
 			want = append(want, rec{at, i})
 		}
 		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
@@ -128,7 +143,7 @@ func TestPropertyRemoveConsistency(t *testing.T) {
 		var q Queue
 		var events []*Event
 		for _, raw := range times {
-			events = append(events, q.Push(Time(raw), nil))
+			events = append(events, pushNew(&q, Time(raw), nil))
 		}
 		removed := 0
 		for i, e := range events {

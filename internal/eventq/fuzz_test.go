@@ -139,13 +139,13 @@ func FuzzEventQueue(f *testing.F) {
 			at := Time(b % 64)
 			switch op {
 			case 0: // owned push
-				e := q.Push(at, func(Time) {})
+				e := pushNew(&q, at, func(Time) {})
 				idOf[e] = nextID
 				owned = append(owned, e)
 				model.push(nextID, at)
 				nextID++
 			case 1: // fire-and-forget push (handle never rescheduled)
-				e := q.Push(at, func(Time) {})
+				e := pushNew(&q, at, func(Time) {})
 				idOf[e] = nextID
 				model.push(nextID, at)
 				nextID++
@@ -278,15 +278,15 @@ func FuzzShardMerge(f *testing.F) {
 			switch op {
 			case 0: // owned push
 				p := &pair{id: nextID}
-				p.se = s.Push(sh, at, func(Time) {})
-				p.oe = oracle.Push(at, func(Time) {})
+				p.se = pushNewOn(s, sh, at, func(Time) {})
+				p.oe = pushNew(&oracle, at, func(Time) {})
 				idOfS[p.se] = p
 				owned = append(owned, p)
 				nextID++
 			case 1: // fire-and-forget push (handle never rescheduled)
 				p := &pair{id: nextID}
-				p.se = s.Push(sh, at, func(Time) {})
-				p.oe = oracle.Push(at, func(Time) {})
+				p.se = pushNewOn(s, sh, at, func(Time) {})
+				p.oe = pushNew(&oracle, at, func(Time) {})
 				idOfS[p.se] = p
 				nextID++
 			case 2:
@@ -348,7 +348,7 @@ func FuzzShardMerge(f *testing.F) {
 					// legal (once, so the drain terminates: the re-pushed
 					// event may itself be popped and is not re-pushed again).
 					repushed = true
-					s.Push(sh, e.At+1, func(Time) {})
+					pushNewOn(s, sh, e.At+1, func(Time) {})
 				}
 				checkSharded(t, s)
 			}
@@ -363,7 +363,7 @@ func FuzzShardMerge(f *testing.F) {
 		var post []*Event
 		isPost := map[*Event]bool{}
 		for k := 0; k < 2*nsh; k++ {
-			e := s.Push(k%nsh, horizon+10, func(Time) {})
+			e := pushNewOn(s, k%nsh, horizon+10, func(Time) {})
 			post = append(post, e)
 			isPost[e] = true
 		}

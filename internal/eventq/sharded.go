@@ -68,16 +68,6 @@ func (s *Sharded) ShardLen(shard int) int { return s.qs[shard].Len() }
 // ShardPeek returns the earliest event of one sub-queue, or nil.
 func (s *Sharded) ShardPeek(shard int) *Event { return s.qs[shard].Peek() }
 
-// Push schedules fn at time at on the given sub-queue and returns the
-// caller-owned handle.
-func (s *Sharded) Push(shard int, at Time, fn func(now Time)) *Event {
-	q := s.checkout(shard)
-	e := q.Push(at, fn)
-	e.shard = int32(shard)
-	s.checkin(shard)
-	return e
-}
-
 // Schedule inserts or moves a caller-owned event to time at on the given
 // sub-queue. An event still pending on a different sub-queue is removed
 // there first, so one reusable timer may follow its task across shards.

@@ -35,21 +35,21 @@ func mirror(t *testing.T, seed int64, shards, ops int) (single, sharded []popRec
 
 	for op := 0; op < ops; op++ {
 		switch k := rng.Intn(10); {
-		case k < 3: // Push
+		case k < 3: // schedule a new event
 			at := now + Time(rng.Intn(50))
 			name := fmt.Sprintf("push%d", id)
 			shard := id % (shards + 1) // sometimes the global queue
 			p := &pair{name: name}
-			p.se = q.Push(at, record(&single, name))
-			p.sh = s.Push(shard, at, record(&sharded, name))
+			p.se = pushNew(q, at, record(&single, name))
+			p.sh = pushNewOn(s, shard, at, record(&sharded, name))
 			live = append(live, p)
 			id++
-		case k < 5: // Push, fire-and-forget (no handle kept)
+		case k < 5: // a new event, fire-and-forget (no handle kept)
 			at := now + Time(rng.Intn(50))
 			name := fmt.Sprintf("forget%d", id)
 			shard := id % shards
-			q.Push(at, record(&single, name))
-			s.Push(shard, at, record(&sharded, name))
+			pushNew(q, at, record(&single, name))
+			pushNewOn(s, shard, at, record(&sharded, name))
 			id++
 		case k < 7 && len(live) > 0: // Schedule (move or re-insert)
 			p := live[rng.Intn(len(live))]
@@ -101,7 +101,7 @@ func mirror(t *testing.T, seed int64, shards, ops int) (single, sharded []popRec
 }
 
 // TestShardedMatchesSingleQueue is the core determinism property of the
-// sharded engine: for any shard count and any interleaving of Push,
+// sharded engine: for any shard count and any interleaving of new events,
 // Schedule, Remove and Pop, the sharded queue pops events in
 // exactly the order a single queue does.
 func TestShardedMatchesSingleQueue(t *testing.T) {
@@ -154,12 +154,12 @@ func TestShardedScheduleReroutes(t *testing.T) {
 // TestShardedGlobalHorizon checks PeekGlobal sees only control events.
 func TestShardedGlobalHorizon(t *testing.T) {
 	s := NewSharded(2)
-	s.Push(0, 5, func(Time) {})
-	s.Push(1, 7, func(Time) {})
+	pushNewOn(s, 0, 5, func(Time) {})
+	pushNewOn(s, 1, 7, func(Time) {})
 	if g := s.PeekGlobal(); g != nil {
 		t.Fatalf("PeekGlobal = %v with no global events", g)
 	}
-	s.Push(s.Global(), 9, func(Time) {})
+	pushNewOn(s, s.Global(), 9, func(Time) {})
 	g := s.PeekGlobal()
 	if g == nil || g.At != 9 {
 		t.Fatalf("PeekGlobal = %v, want At=9", g)
@@ -179,14 +179,14 @@ func TestShardedWindow(t *testing.T) {
 	rec := func(name string) func(Time) {
 		return func(at Time) { log = append(log, popRecord{at, name}) }
 	}
-	s.Push(s.Global(), 100, rec("horizon"))
+	pushNewOn(s, s.Global(), 100, rec("horizon"))
 
 	s.BeginWindow()
 	// Each shard schedules its own work; same-time cross-shard order is
 	// decided by shard index.
-	s.Push(1, 10, rec("b"))
-	s.Push(0, 10, rec("a"))
-	s.Push(0, 20, rec("c"))
+	pushNewOn(s, 1, 10, rec("b"))
+	pushNewOn(s, 0, 10, rec("a"))
+	pushNewOn(s, 0, 20, rec("c"))
 	horizon := s.PeekGlobal().At
 	for shard := 0; shard < s.Shards(); shard++ {
 		for {
@@ -212,7 +212,7 @@ func TestShardedWindow(t *testing.T) {
 	}
 
 	// After the window, sequencing resumes globally and deterministically.
-	s.Push(0, 50, rec("d"))
+	pushNewOn(s, 0, 50, rec("d"))
 	for {
 		e := s.Pop()
 		if e == nil {
@@ -233,7 +233,7 @@ func TestShardedWindow(t *testing.T) {
 			t.Error("no panic for global push inside a window")
 		}
 	}()
-	s.Push(s.Global(), 999, func(Time) {})
+	pushNewOn(s, s.Global(), 999, func(Time) {})
 }
 
 // TestShardedPopTieBreak pins the cross-heap tie-break: equal (At, seq)
@@ -243,9 +243,9 @@ func TestShardedPopTieBreak(t *testing.T) {
 	s.BeginWindow()
 	// All three shards start from the same seq base, so these collide
 	// on both At and seq.
-	s.Push(2, 10, func(Time) {})
-	s.Push(0, 10, func(Time) {})
-	s.Push(1, 10, func(Time) {})
+	pushNewOn(s, 2, 10, func(Time) {})
+	pushNewOn(s, 0, 10, func(Time) {})
+	pushNewOn(s, 1, 10, func(Time) {})
 	s.EndWindow()
 	var order []int32
 	for e := s.Pop(); e != nil; e = s.Pop() {

@@ -44,26 +44,25 @@ type Context struct {
 	FailFast bool
 	// Log receives progress lines (nil discards).
 	Log io.Writer
-	// Trace, when set, collects every Submit/Repeat cell's scheduling
-	// events into one Chrome trace stream. Cells record into private
-	// rings and are flushed in submission order, so the trace bytes are
-	// identical at every Parallelism (SubmitFunc custom cells are not
-	// traced — they build their own machines).
+	// Trace, when set, collects every cell's scheduling events into one
+	// Chrome trace stream. Cells record into private rings and are
+	// flushed in submission order, so the trace bytes are identical at
+	// every Parallelism.
 	Trace *TraceSink
-	// Metrics, when set, aggregates every Submit/Repeat cell's metrics
-	// registry, merged in submission order.
+	// Metrics, when set, aggregates every cell's metrics registry,
+	// merged in submission order.
 	Metrics *metrics.Aggregate
 	// Perturb, when active, composes deterministic fault injection
 	// (kernel noise, hotplug, frequency drift, interrupt storms) onto
-	// every Submit/Repeat cell that does not set its own perturbation.
-	// The injector draws from each cell's seeded RNG, so perturbed
-	// tables remain bit-identical at every Parallelism.
+	// every cell that does not set its own perturbation. The injector
+	// draws from each cell's seeded RNG, so perturbed tables remain
+	// bit-identical at every Parallelism.
 	Perturb perturb.Config
 	// Predict turns on the speed balancer's anticipatory mode
 	// (speedbal.Config.Predict with predict.DefaultConfig) in every
-	// Submit/Repeat cell that does not configure prediction itself —
-	// the -predict flag of `lbos run`. Cells not using the speed
-	// balancer are unaffected.
+	// cell that does not configure prediction itself — the -predict
+	// flag of `lbos run`. Cells not using the speed balancer are
+	// unaffected.
 	Predict bool
 	// Interrupt, when non-nil, lets an external owner (the lbosd
 	// serving daemon, a request context) abort the grid: once the

@@ -19,6 +19,8 @@ import (
 	"repro/internal/cfs"
 	"repro/internal/cpuset"
 	"repro/internal/npb"
+	"repro/internal/perturb"
+	"repro/internal/predict"
 	"repro/internal/sim"
 	"repro/internal/speedbal"
 	"repro/internal/spmd"
@@ -126,7 +128,10 @@ func runExtMeasure(ctx *Context) []*Table {
 		for rep := 0; rep < ctx.Reps; rep++ {
 			seed := seedFor(ctx.Seed, config, rep)
 			run.SubmitFunc(fmt.Sprintf("ext-measure %s rep %d", meas, rep),
-				func() RunResult { return runClumpedMeasure(spec, meas, seed) },
+				func(o RunOpts) RunResult {
+					o.Seed = seed
+					return runClumpedMeasure(spec, meas, o)
+				},
 				func(res RunResult) {
 					el.Add(res.Elapsed.Seconds())
 					mig.Add(float64(res.SpeedbalMigrations))
@@ -189,9 +194,17 @@ func runExtSwap(ctx *Context) []*Table {
 
 // runClumpedMeasure starts the app pinned on its (restricted) affinity,
 // then widens the managed set to the whole machine — the measure under
-// test decides whether the balancer discovers the free sockets.
-func runClumpedMeasure(spec spmd.Spec, meas speedbal.Measure, seed uint64) RunResult {
-	m := sim.New(topo.Tigerton(), sim.Config{Seed: seed, NewScheduler: cfs.Factory()})
+// test decides whether the balancer discovers the free sockets. From o
+// it takes the seed, the fault injection, the predictive mode, and the
+// tracer and metrics registry.
+func runClumpedMeasure(spec spmd.Spec, meas speedbal.Measure, o RunOpts) RunResult {
+	m := sim.New(topo.Tigerton(), sim.Config{Seed: o.Seed, NewScheduler: cfs.Factory(),
+		Tracer: o.Tracer, Metrics: o.Metrics})
+	if o.Perturb.Active() {
+		// Before the app and its balancer, as in Run: the RNG split
+		// order stays fixed regardless of which families are on.
+		m.AddActor(perturb.New(o.Perturb))
+	}
 	app := spmd.Build(m, spec)
 	app.OnDone(func(*spmd.App) { m.Stop() })
 	app.StartPinned()
@@ -200,10 +213,14 @@ func runClumpedMeasure(spec spmd.Spec, meas speedbal.Measure, seed uint64) RunRe
 	}
 	cfg := speedbal.DefaultConfig()
 	cfg.Measure = meas
+	if o.Predict {
+		cfg.Predict = predict.DefaultConfig()
+	}
 	sb := speedbal.New(cfg)
 	sb.Manage(m, app.Tasks, m.Topo.AllCores())
 	m.AddActor(sb)
 	m.Run(int64(2000 * time.Second))
+	recordMachine(m, o.Metrics)
 	return RunResult{
 		Elapsed:            app.Elapsed(),
 		Speedup:            app.Speedup(),

@@ -70,23 +70,20 @@ type openCellOut struct {
 	predictMisses int
 }
 
-// openCellOpts parameterises one open-system cell beyond the policy
-// itself: load point, run length, optional fault injection and the
-// speed balancer's predictive mode.
+// openCellOpts is one open-system cell's load point and run length.
 type openCellOpts struct {
 	rho     float64
 	horizon time.Duration
-	seed    uint64
-	perturb perturb.Config
-	predict bool
 }
 
 // runOpenCell simulates one (policy, ρ, seed) cell: arrivals for
-// horizon, then a drain window, then per-job accounting.
-func runOpenCell(p openPolicy, o openCellOpts) openCellOut {
-	cfg := sim.Config{Seed: o.seed}
+// horizon, then a drain window, then per-job accounting. From o it
+// takes the seed, the fault injection, the speed balancer's predictive
+// mode, and the tracer and metrics registry.
+func runOpenCell(p openPolicy, c openCellOpts, o RunOpts) openCellOut {
+	cfg := sim.Config{Seed: o.Seed, Tracer: o.Tracer, Metrics: o.Metrics}
 	if p.dwrr {
-		cfg.NewScheduler, _ = dwrr.NewFactory(dwrr.DefaultConfig())
+		cfg.NewScheduler, _ = dwrr.NewFactory()
 	} else {
 		cfg.NewScheduler = cfs.Factory()
 	}
@@ -98,7 +95,7 @@ func runOpenCell(p openPolicy, o openCellOpts) openCellOut {
 	if p.speed {
 		scfg := speedbal.DefaultConfig()
 		scfg.RescanGroup = openload.Group
-		if o.predict {
+		if o.Predict {
 			scfg.Predict = predict.DefaultConfig()
 		}
 		sb = speedbal.New(scfg)
@@ -107,15 +104,15 @@ func runOpenCell(p openPolicy, o openCellOpts) openCellOut {
 	if p.ule {
 		m.AddActor(ule.Default())
 	}
-	if o.perturb.Active() {
+	if o.Perturb.Active() {
 		// After the balancers, as in exp.Run: the RNG split order stays
 		// fixed regardless of which families are on.
-		m.AddActor(perturb.New(o.perturb))
+		m.AddActor(perturb.New(o.Perturb))
 	}
 	var out openCellOut
 	g := openload.New(openload.Config{
-		Rho:        o.rho,
-		Horizon:    o.horizon,
+		Rho:        c.rho,
+		Horizon:    c.horizon,
 		FixedAlloc: p.equi,
 		OnJobDone: func(r openload.Record) {
 			out.sojournsMs = append(out.sojournsMs, float64(r.Sojourn)/1e6)
@@ -129,13 +126,14 @@ func runOpenCell(p openPolicy, o openCellOpts) openCellOut {
 	// (ρ < 1) empties well inside 2 extra horizons + 2 s, and whatever
 	// does not is reported in the table's unfinished column rather than
 	// silently truncated out of the percentiles.
-	m.Run(int64(3*o.horizon) + int64(2*time.Second))
+	m.Run(int64(3*c.horizon) + int64(2*time.Second))
 	out.admitted, out.unfinished = g.Admitted, g.Unfinished()
 	if sb != nil {
 		out.predictPulls = sb.PredictPulls
 		out.predictHits = sb.PredictHits
 		out.predictMisses = sb.PredictMisses
 	}
+	recordMachine(m, o.Metrics)
 	return out
 }
 
@@ -168,11 +166,10 @@ func runOpenBakeoff(ctx *Context) []*Table {
 				seed := seedFor(ctx.Seed, cfgIdx, rep)
 				rn.SubmitFunc(
 					fmt.Sprintf("open rho=%.2f %s rep %d", rho, p.name, rep),
-					func() RunResult {
-						return RunResult{Out: runOpenCell(p, openCellOpts{
-							rho: rho, horizon: horizon, seed: seed,
-							predict: ctx.Predict,
-						})}
+					func(o RunOpts) RunResult {
+						o.Seed = seed
+						c := openCellOpts{rho: rho, horizon: horizon}
+						return RunResult{Out: runOpenCell(p, c, o)}
 					},
 					func(res RunResult) {
 						o := res.Out.(openCellOut)

@@ -30,10 +30,8 @@ func TestDWRROpenTailBounded(t *testing.T) {
 	soj := &stats.Sample{}
 	unfin := 0
 	for rep := 0; rep < 4; rep++ {
-		o := runOpenCell(dwrr, openCellOpts{
-			rho: 0.85, horizon: 8 * time.Second,
-			seed: seedFor(20100109, 900, rep),
-		})
+		o := runOpenCell(dwrr, openCellOpts{rho: 0.85, horizon: 8 * time.Second},
+			RunOpts{Seed: seedFor(20100109, 900, rep)})
 		for _, v := range o.sojournsMs {
 			soj.Add(v)
 		}
@@ -71,10 +69,8 @@ func TestSpeedLowRhoP95NotWorst(t *testing.T) {
 	for _, p := range openPolicies {
 		soj := &stats.Sample{}
 		for rep := 0; rep < 3; rep++ {
-			o := runOpenCell(p, openCellOpts{
-				rho: 0.5, horizon: 4 * time.Second,
-				seed: seedFor(20100109, 910, rep),
-			})
+			o := runOpenCell(p, openCellOpts{rho: 0.5, horizon: 4 * time.Second},
+				RunOpts{Seed: seedFor(20100109, 910, rep)})
 			for _, v := range o.sojournsMs {
 				soj.Add(v)
 			}

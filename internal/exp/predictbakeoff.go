@@ -75,11 +75,13 @@ func runPredictBakeoff(ctx *Context) []*Table {
 				seed := seedFor(ctx.Seed, cfgIdx, rep)
 				rn.SubmitFunc(
 					fmt.Sprintf("predict %s pred=%v rep %d", fam.name, predictive, rep),
-					func() RunResult {
-						return RunResult{Out: runOpenCell(speed, openCellOpts{
-							rho: rho, horizon: horizon, seed: seed,
-							perturb: fam.cfg, predict: predictive,
-						})}
+					func(o RunOpts) RunResult {
+						// Each row sets its own family and mode; of the
+						// context's options the cell keeps only the
+						// tracer and the metrics registry.
+						o.Seed, o.Perturb, o.Predict = seed, fam.cfg, predictive
+						c := openCellOpts{rho: rho, horizon: horizon}
+						return RunResult{Out: runOpenCell(speed, c, o)}
 					},
 					func(res RunResult) {
 						o := res.Out.(openCellOut)

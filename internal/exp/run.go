@@ -108,7 +108,7 @@ func Run(o RunOpts) RunResult {
 	cfg := sim.Config{Seed: o.Seed, Tracer: o.Tracer, Metrics: o.Metrics}
 	var dwrrG *dwrr.Global
 	if o.Strategy == StratDWRR {
-		cfg.NewScheduler, dwrrG = dwrr.NewFactory(dwrr.DefaultConfig())
+		cfg.NewScheduler, dwrrG = dwrr.NewFactory()
 	} else {
 		cfg.NewScheduler = cfs.Factory()
 	}
@@ -166,21 +166,7 @@ func Run(o RunOpts) RunResult {
 		limit = 2000 * time.Second
 	}
 	m.Run(int64(limit))
-
-	if o.Metrics != nil {
-		m.Sync()
-		elapsed := m.Now()
-		for _, c := range m.Cores {
-			frac := 0.0
-			if elapsed > 0 {
-				frac = float64(c.BusyTime) / float64(elapsed)
-			}
-			o.Metrics.Gauge(fmt.Sprintf("sim.core%02d.busy_frac", c.ID())).Set(frac)
-		}
-		o.Metrics.Counter("sim.context_switches").Add(int64(m.Stats.ContextSwitches))
-		o.Metrics.Counter("sim.wakeups").Add(int64(m.Stats.Wakeups))
-		o.Metrics.Counter("sim.events").Add(int64(m.Stats.Events))
-	}
+	recordMachine(m, o.Metrics)
 
 	res := RunResult{
 		Elapsed: app.Elapsed(),
@@ -208,6 +194,26 @@ func Run(o RunOpts) RunResult {
 		res.Truncated = true
 	}
 	return res
+}
+
+// recordMachine adds a finished run's per-core busy fractions and engine
+// counters to reg; a nil reg records nothing.
+func recordMachine(m *sim.Machine, reg *metrics.Registry) {
+	if reg == nil {
+		return
+	}
+	m.Sync()
+	elapsed := m.Now()
+	for _, c := range m.Cores {
+		frac := 0.0
+		if elapsed > 0 {
+			frac = float64(c.BusyTime) / float64(elapsed)
+		}
+		reg.Gauge(fmt.Sprintf("sim.core%02d.busy_frac", c.ID())).Set(frac)
+	}
+	reg.Counter("sim.context_switches").Add(int64(m.Stats.ContextSwitches))
+	reg.Counter("sim.wakeups").Add(int64(m.Stats.Wakeups))
+	reg.Counter("sim.events").Add(int64(m.Stats.Events))
 }
 
 // Repeat runs the configuration Reps times with derived seeds and calls

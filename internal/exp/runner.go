@@ -59,7 +59,7 @@ type runnerItem struct {
 	then  func()
 
 	// ring and reg are the cell-private observability buffers injected
-	// by submitRun when the context traces/collects; the Wait goroutine
+	// by submit when the context traces/collects; the Wait goroutine
 	// flushes them in submission order.
 	ring *trace.Ring
 	reg  *metrics.Registry
@@ -80,21 +80,23 @@ func NewRunner(ctx *Context) *Runner {
 // fn (which may be nil) is invoked during Wait, in submission order, on
 // the Wait goroutine — callbacks never race with one another.
 func (r *Runner) Submit(o RunOpts, fn func(RunResult)) {
-	r.submitRun(fmt.Sprintf("cell %d", len(r.items)), o, fn)
+	r.submit(fmt.Sprintf("cell %d", len(r.items)), o, Run, fn)
 }
 
 // SubmitFunc queues an arbitrary measurement function for runs that need
 // custom machine wiring; label identifies the cell in failure reports.
-// Custom cells are not traced (the run function owns its machine
-// configuration), which keeps the trace stream deterministic: they
-// contribute no events at any parallelism.
-func (r *Runner) SubmitFunc(label string, run func() RunResult, fn func(RunResult)) {
-	r.items = append(r.items, runnerItem{label: label, run: run, fn: fn})
+// run receives the RunOpts the context fills in — Perturb, Predict, and
+// the cell's Tracer and Metrics registry — and wires them into the
+// machine it builds, so a custom cell is traced, collected and
+// perturbed like a Submit cell.
+func (r *Runner) SubmitFunc(label string, run func(o RunOpts) RunResult, fn func(RunResult)) {
+	r.submit(label, RunOpts{}, run, fn)
 }
 
-// submitRun queues a RunOpts-based cell, injecting the cell-private
+// submit queues a cell that calls run with o, completed from the
+// context: its fault injection, predictive mode, and the cell-private
 // trace ring and metrics registry when the context collects them.
-func (r *Runner) submitRun(label string, o RunOpts, fn func(RunResult)) {
+func (r *Runner) submit(label string, o RunOpts, run func(RunOpts) RunResult, fn func(RunResult)) {
 	it := runnerItem{label: label, fn: fn}
 	if r.ctx.Perturb.Active() && !o.Perturb.Active() {
 		// -perturb composes onto any experiment; cells that configure
@@ -112,7 +114,7 @@ func (r *Runner) submitRun(label string, o RunOpts, fn func(RunResult)) {
 		it.reg = metrics.NewRegistry()
 		o.Metrics = it.reg
 	}
-	it.run = func() RunResult { return Run(o) }
+	it.run = func() RunResult { return run(o) }
 	r.items = append(r.items, it)
 }
 
@@ -123,7 +125,7 @@ func (r *Runner) Repeat(config int, o RunOpts, fn func(rep int, res RunResult)) 
 	for rep := 0; rep < r.ctx.Reps; rep++ {
 		rep := rep
 		o.Seed = seedFor(r.ctx.Seed, config, rep)
-		r.submitRun(fmt.Sprintf("config %d rep %d", config, rep), o,
+		r.submit(fmt.Sprintf("config %d rep %d", config, rep), o, Run,
 			func(res RunResult) {
 				if fn != nil {
 					fn(rep, res)

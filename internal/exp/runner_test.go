@@ -85,9 +85,9 @@ func TestRunnerPanicCancels(t *testing.T) {
 	ctx := &Context{Reps: 1, Scale: 1, Seed: 1, Parallelism: 1}
 	r := NewRunner(ctx)
 	ran := 0
-	r.SubmitFunc("ok", func() RunResult { return Run(runnerOpts()) }, func(RunResult) { ran++ })
-	r.SubmitFunc("boom", func() RunResult { panic("exploded") }, func(RunResult) { ran++ })
-	r.SubmitFunc("after", func() RunResult { return Run(runnerOpts()) }, func(RunResult) { ran++ })
+	r.SubmitFunc("ok", func(RunOpts) RunResult { return Run(runnerOpts()) }, func(RunResult) { ran++ })
+	r.SubmitFunc("boom", func(RunOpts) RunResult { panic("exploded") }, func(RunResult) { ran++ })
+	r.SubmitFunc("after", func(RunOpts) RunResult { return Run(runnerOpts()) }, func(RunResult) { ran++ })
 
 	defer func() {
 		p := recover()
@@ -191,12 +191,12 @@ func TestRunnerInterruptMidGrid(t *testing.T) {
 	ctx := &Context{Reps: 1, Seed: 1, Parallelism: 1, Interrupt: interrupt}
 	r := NewRunner(ctx)
 	ran := 0
-	r.SubmitFunc("first", func() RunResult { return Run(runnerOpts()) }, func(RunResult) { ran++ })
-	r.SubmitFunc("trigger", func() RunResult {
+	r.SubmitFunc("first", func(RunOpts) RunResult { return Run(runnerOpts()) }, func(RunResult) { ran++ })
+	r.SubmitFunc("trigger", func(RunOpts) RunResult {
 		close(interrupt) // abort arrives while this cell is in flight
 		return Run(runnerOpts())
 	}, func(RunResult) { ran++ })
-	r.SubmitFunc("tail", func() RunResult { return Run(runnerOpts()) }, func(RunResult) { ran++ })
+	r.SubmitFunc("tail", func(RunOpts) RunResult { return Run(runnerOpts()) }, func(RunResult) { ran++ })
 	defer func() {
 		p := recover()
 		if p == nil {
@@ -244,7 +244,7 @@ func TestRunnerReuseAfterCancel(t *testing.T) {
 				t.Fatal("Wait did not panic on the failed phase")
 			}
 		}()
-		r.SubmitFunc("boom", func() RunResult { panic("first phase fails") }, nil)
+		r.SubmitFunc("boom", func(RunOpts) RunResult { panic("first phase fails") }, nil)
 		r.Wait()
 	}()
 

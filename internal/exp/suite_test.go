@@ -39,7 +39,7 @@ func TestSuiteRunsDependOnlyOnTheirContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := clean()
-	ctx.Trace = NewTraceSink(io.Discard, 0)
+	ctx.Trace = NewTraceSink(io.Discard)
 	table3.Run(ctx)
 	if err := ctx.Trace.Close(); err != nil {
 		t.Fatal(err)

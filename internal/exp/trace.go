@@ -8,10 +8,10 @@ import (
 	"repro/internal/trace"
 )
 
-// DefaultTraceCap is the per-cell ring capacity used when a TraceSink
-// is built without an explicit one: enough for the full event stream of
-// a paper-scale run while bounding memory on pathological ones.
-const DefaultTraceCap = 1 << 16
+// cellTraceCap is the capacity of each cell's trace ring: enough for the
+// full event stream of a paper-scale run while bounding memory on
+// pathological ones.
+const cellTraceCap = 1 << 16
 
 // TraceSink collects the traces of an experiment's cells into one
 // Chrome trace-event stream. Each cell records into its own ring
@@ -21,24 +21,19 @@ const DefaultTraceCap = 1 << 16
 // from a single goroutine (submission and delivery both happen on the
 // goroutine that calls Runner.Wait).
 type TraceSink struct {
-	cw      *trace.ChromeWriter
-	perCell int
+	cw *trace.ChromeWriter
 	// Cells and Dropped summarise the flushed stream for reporting.
 	Cells   int
 	Dropped uint64
 }
 
-// NewTraceSink starts a trace stream on w. perCellCap bounds each
-// cell's ring; values ≤ 0 pick DefaultTraceCap.
-func NewTraceSink(w io.Writer, perCellCap int) *TraceSink {
-	if perCellCap <= 0 {
-		perCellCap = DefaultTraceCap
-	}
-	return &TraceSink{cw: trace.NewChromeWriter(w), perCell: perCellCap}
+// NewTraceSink starts a trace stream on w.
+func NewTraceSink(w io.Writer) *TraceSink {
+	return &TraceSink{cw: trace.NewChromeWriter(w)}
 }
 
 // newRing allocates the per-cell event buffer.
-func (s *TraceSink) newRing() *trace.Ring { return trace.NewRing(s.perCell) }
+func (s *TraceSink) newRing() *trace.Ring { return trace.NewRing(cellTraceCap) }
 
 // flush exports one cell's events under its label. Rings must be
 // flushed in submission order.

@@ -19,7 +19,7 @@ func traceRun(t *testing.T, id string, par int) (traceJSON []byte, snap metrics.
 	}
 	var buf bytes.Buffer
 	ctx := &Context{Reps: 2, Scale: 32, Seed: 20100109, Parallelism: par}
-	ctx.Trace = NewTraceSink(&buf, 0)
+	ctx.Trace = NewTraceSink(&buf)
 	ctx.Metrics = metrics.NewAggregate()
 	out := renderAll(e.Run(ctx))
 	if err := ctx.Trace.Close(); err != nil {

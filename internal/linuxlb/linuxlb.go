@@ -38,25 +38,24 @@ import (
 	"repro/internal/xrand"
 )
 
+// The balancer's fixed parameters, modelling Linux 2.6.28 on a 100 Hz
+// server kernel (§2).
+const (
+	// tickPeriod is the scheduler tick driving periodic balancing and load
+	// snapshots.
+	tickPeriod = 10 * time.Millisecond
+	// cacheHot is the recency window within which a task is considered
+	// cache-hot and resisted (≈5 ms).
+	cacheHot = 5 * time.Millisecond
+	// maxFailures is how many failed attempts at a level before
+	// cache-hot tasks are migrated anyway (between one and two). One
+	// more failure wakes the migration thread to push the running task
+	// (active balancing).
+	maxFailures = 2
+)
+
 // Config tunes the balancer.
 type Config struct {
-	// Tick is the scheduler tick driving periodic balancing and load
-	// snapshots (10 ms on a 100 Hz server kernel).
-	Tick time.Duration
-	// CacheHot is the recency window within which a task is considered
-	// cache-hot and resisted (≈5 ms, §2).
-	CacheHot time.Duration
-	// MaxFailures is how many failed attempts at a level before
-	// cache-hot tasks are migrated anyway (typically between one and
-	// two, §2).
-	MaxFailures int
-	// ActiveBalance enables the migration-thread push of the running
-	// task after even cache-hot migration fails.
-	ActiveBalance bool
-	// StalePlacement makes fork placement use tick-stale load
-	// snapshots (the realistic default); accurate placement is an
-	// ablation.
-	StalePlacement bool
 	// Domain restricts the balancer to a core subset: only domain cores
 	// tick, balance, and exchange tasks, and sched groups are clipped to
 	// the domain — one Balancer instance per socket/shard models
@@ -66,20 +65,13 @@ type Config struct {
 	// the shard queues, so balancing no longer bounds conservative
 	// lookahead and runs inside parallel windows. A domain-restricted
 	// instance does not install itself as the fork placer (placement is
-	// machine-global); StalePlacement is ignored.
+	// machine-global); a whole-machine instance places forks on the
+	// idlest core by tick-stale load snapshots.
 	Domain cpuset.Set
 }
 
-// DefaultConfig returns the 2.6.28-like defaults.
-func DefaultConfig() Config {
-	return Config{
-		Tick:           10 * time.Millisecond,
-		CacheHot:       5 * time.Millisecond,
-		MaxFailures:    2,
-		ActiveBalance:  true,
-		StalePlacement: true,
-	}
-}
+// DefaultConfig returns the whole-machine balancer's configuration.
+func DefaultConfig() Config { return Config{} }
 
 const nice0Weight = 1024
 
@@ -218,15 +210,15 @@ func (b *Balancer) Start(m *sim.Machine) {
 		for li, l := range m.Topo.Levels {
 			cs.nextBalance[li] = int64(l.BusyInterval)
 		}
-		cs.pull.dst, cs.pull.cacheHot = i, int64(b.cfg.CacheHot)
+		cs.pull.dst, cs.pull.cacheHot = i, int64(cacheHot)
 		cs.pull.visit = cs.pull.consider
 		b.cores[i] = cs
 		// Stagger ticks across cores as real timer interrupts are.
-		off := b.rng.Jitter(int64(b.cfg.Tick))
+		off := b.rng.Jitter(int64(tickPeriod))
 		core := m.Cores[i]
 		fn := func(now int64) {
 			b.tick(core, now)
-			cs.tick.Schedule(now + int64(b.cfg.Tick))
+			cs.tick.Schedule(now + int64(tickPeriod))
 		}
 		if shardLocal {
 			cs.tick = m.NewCoreTimer(i, fn)
@@ -251,7 +243,7 @@ func (b *Balancer) Start(m *sim.Machine) {
 			}
 		}
 	}
-	if b.cfg.StalePlacement && b.cfg.Domain.Empty() {
+	if b.cfg.Domain.Empty() {
 		m.SetPlacer(b)
 	}
 	m.OnIdle(b.newIdle)
@@ -365,7 +357,7 @@ func (b *Balancer) balanceLevel(c *sim.Core, li int, newIdle bool) bool {
 		}
 		return false
 	}
-	moved := b.moveTasks(busiest, c, imbalance, cs.failed[li] > b.cfg.MaxFailures)
+	moved := b.moveTasks(busiest, c, imbalance, cs.failed[li] > maxFailures)
 	if moved > 0 {
 		cs.failed[li] = 0
 		if newIdle {
@@ -382,7 +374,7 @@ func (b *Balancer) balanceLevel(c *sim.Core, li int, newIdle bool) bool {
 		return false
 	}
 	cs.failed[li]++
-	if cs.failed[li] > b.cfg.MaxFailures+1 && b.cfg.ActiveBalance {
+	if cs.failed[li] > maxFailures+1 {
 		// Wake the migration thread: push the busiest core's running
 		// task to an idle core in the domain (active_load_balance).
 		b.activeBalance(busiest, li)

@@ -1,6 +1,7 @@
 package linuxlb_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -85,7 +86,7 @@ func TestSpreadSixteen(t *testing.T) {
 }
 
 // Stale fork placement: tasks started between ticks all see the same
-// snapshot and clump; with accurate placement they spread immediately.
+// snapshot and clump, where placement by current load would spread them.
 func TestStalePlacementClumps(t *testing.T) {
 	m, _ := newMachine(topo.SMP(4), 4)
 	m.RunFor(50 * time.Millisecond) // let ticks initialise snapshots
@@ -233,5 +234,24 @@ func TestClumpDispersal(t *testing.T) {
 	}
 	if b.Pulls+b.NewIdlePulls == 0 {
 		t.Error("no pulls during dispersal")
+	}
+}
+
+// The balancer's parameters are constants, so the zero Config is the
+// whole-machine default: a run under New(Config{}) repeats a run under
+// Default() event for event.
+func TestZeroConfigIsDefault(t *testing.T) {
+	run := func(b *linuxlb.Balancer) string {
+		m := sim.New(topo.SMP(2), sim.Config{Seed: 8, NewScheduler: cfs.Factory()})
+		m.AddActor(b)
+		hogs(m, 3, 0)
+		m.RunFor(500 * time.Millisecond)
+		return fmt.Sprintf("now=%d events=%d migrations=%d pulls=%d/%d/%d queues=%v",
+			m.Now(), m.Stats.Events, m.Stats.TotalMigrations(),
+			b.Pulls, b.NewIdlePulls, b.ActivePushes, queueLens(m))
+	}
+	want := run(linuxlb.Default())
+	if got := run(linuxlb.New(linuxlb.Config{})); got != want {
+		t.Errorf("zero config: %s\ndefault:     %s", got, want)
 	}
 }

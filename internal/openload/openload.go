@@ -84,9 +84,9 @@ type Config struct {
 	// benchmarking); jobs in flight at the horizon still complete.
 	Horizon time.Duration
 	// FixedAlloc admits each job onto a fixed round-robin core
-	// partition (threads pinned at arrival, never migrated) — an
-	// EQUI-style static-allocation baseline against which the
-	// balancers' dynamic placement is scored.
+	// partition (threads pinned at arrival, never migrated; an offline
+	// core is skipped) — an EQUI-style static-allocation baseline
+	// against which the balancers' dynamic placement is scored.
 	FixedAlloc bool
 	// OnJobDone, when set, receives each completed job's record, once
 	// per job in completion order (deterministic: exits retire in
@@ -283,8 +283,7 @@ func (g *Gen) admit(k int, now int64) {
 		t.Sched.Weight = task.NiceWeight(c.Nice)
 		g.jobs[t] = j
 		if g.cfg.FixedAlloc {
-			core := g.cores[g.cursor%len(g.cores)]
-			g.cursor++
+			core := g.nextCore()
 			t.Affinity = cpuset.Of(core)
 			g.m.StartOn(t, core)
 		} else {
@@ -292,6 +291,19 @@ func (g *Gen) admit(k int, now int64) {
 		}
 	}
 	g.Admitted++
+}
+
+// nextCore is FixedAlloc's next core in round-robin order, skipping
+// any core hotplug has taken offline (placing a task there panics).
+// The last online core is never unplugged, so the scan ends.
+func (g *Gen) nextCore() int {
+	for {
+		core := g.cores[g.cursor%len(g.cores)]
+		g.cursor++
+		if g.m.Cores[core].Online() {
+			return core
+		}
+	}
 }
 
 // threadName is fmt.Sprintf("%s.%d.%d", class, job, thread) built with

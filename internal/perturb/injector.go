@@ -321,12 +321,37 @@ func (st *freqState) fire(now int64) {
 	st.timer.Schedule(now + jittered(st.rng, cfg.Interval, cfg.Jitter))
 }
 
-// stormState drives whole-socket interrupt storms.
+// stormState drives whole-socket interrupt storms; each storm schedules
+// its own end event.
 type stormState struct {
 	in      *Injector
 	rng     *xrand.RNG
 	timer   *sim.Timer
 	sockets [][]int
+	// endFree holds the idle storm-end events. One is pending per
+	// storm in progress, so only as many as ever overlap are allocated.
+	endFree []*stormEnd
+}
+
+// stormEnd is a reusable global event that lifts one storm from its
+// socket's cores and then returns to its stormState's free list.
+type stormEnd struct {
+	st    *stormState
+	cores []int
+	timer *sim.Timer
+}
+
+func (e *stormEnd) fire(int64) {
+	st := e.st
+	st.endFree = append(st.endFree, e)
+	in := st.in
+	for _, id := range e.cores {
+		in.stormStolen[id] = 0
+		s := in.apply(id)
+		if in.m.Tracing() {
+			in.m.Emit(trace.Event{Kind: trace.KindNoiseEnd, Core: id, Label: "storm", SK: s})
+		}
+	}
 }
 
 func (st *stormState) fire(now int64) {
@@ -346,15 +371,16 @@ func (st *stormState) fire(now int64) {
 			in.m.Emit(trace.Event{Kind: trace.KindNoiseBegin, Core: id, Label: "storm", SK: s, Dur: dur})
 		}
 	}
-	in.m.At(now+dur, func(int64) {
-		for _, id := range cores {
-			in.stormStolen[id] = 0
-			s := in.apply(id)
-			if in.m.Tracing() {
-				in.m.Emit(trace.Event{Kind: trace.KindNoiseEnd, Core: id, Label: "storm", SK: s})
-			}
-		}
-	})
+	var end *stormEnd
+	if n := len(st.endFree); n > 0 {
+		end = st.endFree[n-1]
+		st.endFree = st.endFree[:n-1]
+	} else {
+		end = &stormEnd{st: st}
+		end.timer = in.m.NewTimer(end.fire)
+	}
+	end.cores = cores
+	end.timer.Schedule(now + dur)
 	st.timer.Schedule(now + jittered(st.rng, cfg.Period, cfg.Jitter))
 }
 

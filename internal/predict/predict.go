@@ -47,6 +47,29 @@ import (
 	"time"
 )
 
+// The estimators' fixed parameters.
+const (
+	// MinConfidence is the probability a purely predicted pull must
+	// clear — the larger of the candidate's slowest-core lower bound
+	// and its marginal probability of sub-threshold speed next
+	// interval. It sits above 0.5 deliberately: an effective mean below
+	// the threshold already puts the marginal at 0.5, so a gate at 0.5
+	// would pass every predicted candidate; 0.75 demands the prediction
+	// clear the threshold by a clear margin of its own spread. Realized
+	// sub-threshold evidence stands on its own, as in the reactive
+	// balancer.
+	MinConfidence = 0.75
+	// decay in (0,1] is the per-sample exponential decay of the
+	// estimator weight; smaller forgets faster. At the balancer's
+	// 100 ms cadence 0.8 halves a sample's influence in ~310 ms, fast
+	// enough to track the perturbation families' drift.
+	decay = 0.8
+	// minWeight is the effective sample weight below which a
+	// distribution is considered cold; cold predictions fall back to
+	// realized speeds and load-based placement.
+	minWeight = 3
+)
+
 // Config tunes the predictive mode. The zero value is disabled; a
 // Config is only acted on when Active reports true.
 type Config struct {
@@ -62,37 +85,15 @@ type Config struct {
 	// speed: eff = realized + Weight·(predicted − realized). Zero
 	// degenerates to the reactive balancer exactly.
 	Weight float64
-	// MinConfidence is the probability a purely predicted pull must
-	// clear — the larger of the candidate's slowest-core lower bound
-	// and its marginal probability of sub-threshold speed next
-	// interval. The default sits above 0.5 deliberately: an effective
-	// mean below the threshold already puts the marginal at 0.5, so a
-	// gate at 0.5 would pass every predicted candidate; 0.75 demands
-	// the prediction clear the threshold by a clear margin of its own
-	// spread. Realized sub-threshold evidence stands on its own, as in
-	// the reactive balancer.
-	MinConfidence float64
-	// Decay in (0,1] is the per-sample exponential decay of the
-	// estimator weight; smaller forgets faster. At the balancer's
-	// 100 ms cadence the default 0.8 halves a sample's influence in
-	// ~310 ms, fast enough to track the perturbation families' drift.
-	Decay float64
-	// MinWeight is the effective sample weight below which a
-	// distribution is considered cold; cold predictions fall back to
-	// realized speeds and load-based placement.
-	MinWeight float64
 }
 
 // DefaultConfig returns the predictive profile the predict-bakeoff
 // experiment runs: one-interval horizon, full blend.
 func DefaultConfig() Config {
 	return Config{
-		Enabled:       true,
-		Horizon:       100 * time.Millisecond,
-		Weight:        1,
-		MinConfidence: 0.75,
-		Decay:         0.8,
-		MinWeight:     3,
+		Enabled: true,
+		Horizon: 100 * time.Millisecond,
+		Weight:  1,
 	}
 }
 
@@ -105,7 +106,7 @@ func (c Config) Active() bool {
 
 // Welford is a streaming mean/variance estimator with exponential
 // decay (West's weighted-increment form with geometric weights). With
-// Decay = 1 it is the textbook Welford recurrence; with Decay < 1 old
+// decay = 1 it is the textbook Welford recurrence; with decay < 1 old
 // samples fade so the estimate tracks a drifting signal.
 type Welford struct {
 	w    float64 // decayed total weight
@@ -123,7 +124,7 @@ func (e *Welford) Observe(x, decay float64) {
 }
 
 // Weight returns the decayed effective sample weight (the "how much
-// evidence" measure MinWeight gates on).
+// evidence" measure the tracker's warm-up gates on).
 func (e *Welford) Weight() float64 { return e.w }
 
 // Mean returns the decayed mean (0 before any sample).
@@ -247,7 +248,6 @@ func extremeLowerBounds(ds []Dist, out, scratch []float64, fastest bool) []float
 // managed core, plus a decayed speed distribution per managed thread.
 // All methods are single-goroutine like the balancer that owns it.
 type Tracker struct {
-	cfg      Config
 	interval float64 // balance interval in ns, the trend's unit of time
 	cores    []coreState
 	threads  map[int]*Welford // keyed by task ID; never iterated
@@ -264,9 +264,8 @@ type coreState struct {
 
 // NewTracker sizes a tracker for n managed cores balancing at the given
 // interval.
-func NewTracker(cfg Config, n int, interval time.Duration) *Tracker {
+func NewTracker(n int, interval time.Duration) *Tracker {
 	return &Tracker{
-		cfg:      cfg,
 		interval: float64(interval),
 		cores:    make([]coreState, n),
 		threads:  make(map[int]*Welford),
@@ -279,9 +278,9 @@ func (tr *Tracker) ObserveCore(j int, s float64, now int64) {
 	if cs.warm && now > cs.at {
 		// Normalise the observed delta to one balance interval so the
 		// trend is a per-interval drift rate regardless of jitter.
-		cs.trend.Observe((s-cs.last)*tr.interval/float64(now-cs.at), tr.cfg.Decay)
+		cs.trend.Observe((s-cs.last)*tr.interval/float64(now-cs.at), decay)
 	}
-	cs.est.Observe(s, tr.cfg.Decay)
+	cs.est.Observe(s, decay)
 	cs.last, cs.at, cs.warm = s, now, true
 }
 
@@ -293,7 +292,7 @@ func (tr *Tracker) ResetCore(j int) { tr.cores[j] = coreState{} }
 // predict from.
 func (tr *Tracker) CoreWarm(j int) bool {
 	cs := &tr.cores[j]
-	return cs.warm && cs.est.Weight() >= tr.cfg.MinWeight
+	return cs.warm && cs.est.Weight() >= minWeight
 }
 
 // Predicted returns core index j's speed extrapolated horizon past its
@@ -341,14 +340,14 @@ func (tr *Tracker) ObserveThread(id int, s float64) {
 		e = &Welford{}
 		tr.threads[id] = e
 	}
-	e.Observe(s, tr.cfg.Decay)
+	e.Observe(s, decay)
 }
 
 // ThreadMean returns the thread's decayed mean speed and whether enough
 // evidence backs it.
 func (tr *Tracker) ThreadMean(id int) (float64, bool) {
 	e, ok := tr.threads[id]
-	if !ok || e.Weight() < tr.cfg.MinWeight {
+	if !ok || e.Weight() < minWeight {
 		return 0, false
 	}
 	return e.Mean(), true

@@ -211,7 +211,7 @@ func TestBoundsSmallSets(t *testing.T) {
 // Predicted(j, 0) must return the realized sample bit-for-bit — the
 // algebraic half of the reactive-degeneracy contract.
 func TestPredictedZeroHorizonIsRealized(t *testing.T) {
-	tr := NewTracker(DefaultConfig(), 2, 100*time.Millisecond)
+	tr := NewTracker(2, 100*time.Millisecond)
 	rng := xrand.New(7)
 	now := int64(0)
 	for i := 0; i < 40; i++ {
@@ -229,7 +229,7 @@ func TestPredictedZeroHorizonIsRealized(t *testing.T) {
 // its last sample at a one-interval horizon.
 func TestPredictedFollowsTrend(t *testing.T) {
 	const interval = 100 * time.Millisecond
-	tr := NewTracker(DefaultConfig(), 1, interval)
+	tr := NewTracker(1, interval)
 	now, s := int64(0), 1.0
 	for i := 0; i < 20; i++ {
 		now += int64(interval)
@@ -250,7 +250,7 @@ func TestPredictedFollowsTrend(t *testing.T) {
 }
 
 func TestTrackerWarmAndReset(t *testing.T) {
-	tr := NewTracker(DefaultConfig(), 1, 100*time.Millisecond)
+	tr := NewTracker(1, 100*time.Millisecond)
 	if tr.CoreWarm(0) {
 		t.Fatal("cold tracker reports warm")
 	}
@@ -260,7 +260,7 @@ func TestTrackerWarmAndReset(t *testing.T) {
 		tr.ObserveCore(0, 0.8, now)
 	}
 	if !tr.CoreWarm(0) {
-		t.Fatal("tracker not warm after 5 samples with MinWeight 3")
+		t.Fatal("tracker not warm after 5 samples with minWeight 3")
 	}
 	d := tr.CoreDist(0, 100*time.Millisecond)
 	if math.Abs(d.Mean-0.8) > 1e-9 {
@@ -276,7 +276,7 @@ func TestTrackerWarmAndReset(t *testing.T) {
 }
 
 func TestThreadEstimators(t *testing.T) {
-	tr := NewTracker(DefaultConfig(), 1, 100*time.Millisecond)
+	tr := NewTracker(1, 100*time.Millisecond)
 	if _, ok := tr.ThreadMean(9); ok {
 		t.Fatal("unknown thread reports a mean")
 	}

@@ -68,7 +68,7 @@ func executeSpec(spec Spec, version string, interrupt <-chan struct{}) (body, tr
 	}
 	var traceBuf bytes.Buffer
 	if spec.Trace {
-		ctx.Trace = exp.NewTraceSink(&traceBuf, 0)
+		ctx.Trace = exp.NewTraceSink(&traceBuf)
 	}
 	if spec.Metrics {
 		ctx.Metrics = metrics.NewAggregate()

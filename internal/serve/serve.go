@@ -43,6 +43,9 @@ import (
 	"repro/internal/metrics"
 )
 
+// retryAfterSeconds is the retry delay a 429 response advertises.
+const retryAfterSeconds = 1
+
 // Config tunes a Server.
 type Config struct {
 	// Workers is the number of concurrent experiment executions
@@ -53,8 +56,6 @@ type Config struct {
 	QueueDepth int
 	// CacheBytes bounds the result cache (default 256 MiB).
 	CacheBytes int64
-	// RetryAfterSeconds is advertised on 429 responses (default 1).
-	RetryAfterSeconds int
 	// Version overrides the code version in cache keys (tests pin it;
 	// "" resolves CodeVersion()).
 	Version string
@@ -148,9 +149,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 16
-	}
-	if cfg.RetryAfterSeconds <= 0 {
-		cfg.RetryAfterSeconds = 1
 	}
 	version := cfg.Version
 	if version == "" {
@@ -445,10 +443,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	r, verdict, err := s.submit(spec)
 	switch {
 	case errors.Is(err, errShed):
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.cfg.RetryAfterSeconds))
+		w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterSeconds))
 		s.writeError(w, http.StatusTooManyRequests,
 			"queue full (%d queued, %d workers); retry after %ds",
-			s.cfg.QueueDepth, s.cfg.Workers, s.cfg.RetryAfterSeconds)
+			s.cfg.QueueDepth, s.cfg.Workers, retryAfterSeconds)
 		return
 	case errors.Is(err, errDraining):
 		s.writeError(w, http.StatusServiceUnavailable, "server is draining")

@@ -106,7 +106,7 @@ func TestCacheHitByteIdentical(t *testing.T) {
 // growing: with one worker parked on a gate and a one-slot queue,
 // exactly one of a flood of distinct submissions is admitted.
 func TestBackpressureSheds(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 1, Version: "test", RetryAfterSeconds: 2})
+	s := New(Config{Workers: 1, QueueDepth: 1, Version: "test"})
 	gate := make(chan struct{})
 	started := make(chan uint64, 64)
 	s.executor = stubExecutor(gate, started)
@@ -135,8 +135,8 @@ func TestBackpressureSheds(t *testing.T) {
 			accepted++
 		case http.StatusTooManyRequests:
 			shed++
-			if got := w.Header().Get("Retry-After"); got != "2" {
-				t.Errorf("429 Retry-After %q, want \"2\"", got)
+			if got := w.Header().Get("Retry-After"); got != "1" {
+				t.Errorf("429 Retry-After %q, want \"1\"", got)
 			}
 		default:
 			t.Fatalf("submit seed %d: unexpected %d %s", seed, w.Code, w.Body.String())

@@ -53,10 +53,10 @@ func TestAdmissionAtWindowHorizonSharded(t *testing.T) {
 			5 * time.Millisecond, 10 * time.Millisecond, 15 * time.Millisecond,
 		} {
 			i, d := i, d
-			m.At(int64(d), func(now int64) {
+			m.NewTimer(func(now int64) {
 				admitPinned(m, fmt.Sprintf("late%d", i),
 					shortJob(300*time.Microsecond), (i*4+1)%16)
-			})
+			}).ScheduleAfter(d)
 		}
 		m.Run(int64(40 * time.Millisecond))
 		return fingerprint(m, log), m.Windows()
@@ -90,25 +90,25 @@ func TestAdmissionDuringHotplugChurnSharded(t *testing.T) {
 			m.StartOn(tk, i*4)
 		}
 		var during, onto *task.Task
-		m.After(2*time.Millisecond, func(now int64) {
+		m.NewTimer(func(now int64) {
 			m.SetCoreOnline(5, false)
-		})
+		}).ScheduleAfter(2 * time.Millisecond)
 		// Same timestamp as the unplug, registered after it: the
 		// newcomer is admitted onto the vanished core's socket while the
 		// scheduler domains are mid-churn.
-		m.After(2*time.Millisecond, func(now int64) {
+		m.NewTimer(func(now int64) {
 			during = m.NewTask("during", shortJob(200*time.Microsecond))
 			m.StartOn(during, 6)
-		})
-		m.After(6*time.Millisecond, func(now int64) {
+		}).ScheduleAfter(2 * time.Millisecond)
+		m.NewTimer(func(now int64) {
 			m.SetCoreOnline(5, true)
-		})
+		}).ScheduleAfter(6 * time.Millisecond)
 		// And one onto the core that just came back, in the same event
 		// timestamp as the replug.
-		m.After(6*time.Millisecond, func(now int64) {
+		m.NewTimer(func(now int64) {
 			onto = m.NewTask("onto", shortJob(200*time.Microsecond))
 			m.StartOn(onto, 5)
-		})
+		}).ScheduleAfter(6 * time.Millisecond)
 		m.Run(int64(25 * time.Millisecond))
 		if during.State != task.Done {
 			t.Fatalf("task admitted during churn stuck in %v", during.State)
@@ -138,7 +138,7 @@ func TestAdmissionAfterDrainSharded(t *testing.T) {
 		// The first job is done well before 10 ms; the wave arrives into
 		// a drained machine whose only pending event is this one.
 		var wave []*task.Task
-		m.At(int64(10*time.Millisecond), func(now int64) {
+		m.NewTimer(func(now int64) {
 			if first.State != task.Done {
 				t.Errorf("machine not drained before admission: first is %v", first.State)
 			}
@@ -149,7 +149,7 @@ func TestAdmissionAfterDrainSharded(t *testing.T) {
 				wave = append(wave, admitPinned(m, fmt.Sprintf("wave%d", s),
 					shortJob(400*time.Microsecond), 4*s))
 			}
-		})
+		}).ScheduleAfter(10 * time.Millisecond)
 		m.Run(int64(25 * time.Millisecond))
 		for _, tk := range wave {
 			if tk.State != task.Done {

@@ -33,12 +33,14 @@ type residencyChecker struct {
 	t      *testing.T
 	every  time.Duration
 	m      *sim.Machine
+	timer  *sim.Timer
 	checks int
 }
 
 func (rc *residencyChecker) Start(m *sim.Machine) {
 	rc.m = m
-	m.After(rc.every, rc.tick)
+	rc.timer = m.NewTimer(rc.tick)
+	rc.timer.ScheduleAfter(rc.every)
 }
 
 func (rc *residencyChecker) tick(now int64) {
@@ -70,7 +72,7 @@ func (rc *residencyChecker) tick(now int64) {
 	for _, msg := range multi {
 		rc.t.Error(msg)
 	}
-	rc.m.After(rc.every, rc.tick)
+	rc.timer.ScheduleAfter(rc.every)
 }
 
 // drawOpts builds a random measurement from a seeded source, spanning

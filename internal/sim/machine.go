@@ -217,6 +217,11 @@ type Machine struct {
 	// groupShard is tryWindow's scratch map for the app-containment
 	// check, kept across calls to avoid a per-horizon allocation.
 	groupShard map[string]int32
+	// drained is SetCoreOnline's list of the tasks an unplug re-places,
+	// kept across calls; drain, bound at the first unplug, appends one
+	// to it.
+	drained []*task.Task
+	drain   func(t *task.Task) bool
 }
 
 // New builds a machine over the topology. The scheduler factory in cfg is
@@ -346,9 +351,6 @@ func (m *Machine) partition(want int) {
 // ShardOf returns the shard owning the core's events.
 func (m *Machine) ShardOf(core int) int { return int(m.shardOf[core]) }
 
-// ShardCores returns the cores of one shard.
-func (m *Machine) ShardCores(shard int) cpuset.Set { return m.shardCores[shard] }
-
 // clock returns the simulation clock governing the given core: the
 // machine clock, or the core's shard clock inside a parallel window.
 func (m *Machine) clock(core int) int64 {
@@ -468,29 +470,13 @@ func LogTasks(m *Machine) *TaskLog {
 	return l
 }
 
-// At schedules fn to run at absolute time at (clamped to now). The event
-// lands on the global control queue: it may touch any shard, so it is a
-// synchronization horizon for parallel windows. Core-confined callbacks
-// should prefer a NewCoreTimer.
-func (m *Machine) At(at int64, fn func(now int64)) *eventq.Event {
-	if at < m.now {
-		at = m.now
-	}
-	return m.events.Push(m.events.Global(), at, fn)
-}
-
-// After schedules fn to run d from now.
-func (m *Machine) After(d time.Duration, fn func(now int64)) *eventq.Event {
-	return m.At(m.now+int64(d), fn)
-}
-
-// Cancel removes a pending event scheduled with At/After.
-func (m *Machine) Cancel(e *eventq.Event) { m.events.Remove(e) }
-
-// Timer is a reusable scheduled callback: the event and its closure are
-// allocated once by NewTimer, and Schedule moves it inside the event
-// queue without allocating. Periodic actors (balancer wakes, scheduler
-// ticks) should prefer a Timer over repeated At calls.
+// Timer is a reusable scheduled callback, the one way code outside the
+// engine schedules work: the event and its closure are allocated once
+// by NewTimer, and Schedule moves it inside the event queue without
+// allocating. Periodic actors (balancer wakes, scheduler ticks)
+// reschedule one timer forever; a source of one-shot callbacks that
+// may overlap either keeps a free list of idle timers (storm ends,
+// replugs) or schedules a fresh timer once (MakeJ's respawns).
 type Timer struct {
 	m     *Machine
 	ev    *eventq.Event
@@ -601,17 +587,25 @@ func (m *Machine) SetCoreOnline(core int, online bool) {
 	// Settle and detach everything the core holds, then mark it offline
 	// and re-place the orphans. An offline core accrues neither busy nor
 	// idle time.
-	var moved []*task.Task
+	if m.drain == nil {
+		m.drain = func(t *task.Task) bool {
+			m.drained = append(m.drained, t)
+			return true
+		}
+	}
+	m.drained = m.drained[:0]
 	if t := c.cur; t != nil {
 		c.account()
 		c.stopCurrent()
 		c.sched.Dequeue(t)
 		t.State = task.Runnable
-		moved = append(moved, t)
+		m.drained = append(m.drained, t)
 	}
-	for _, t := range c.sched.Queued() {
+	queued := len(m.drained)
+	c.sched.EachQueued(m.drain)
+	moved := m.drained
+	for _, t := range moved[queued:] {
 		c.sched.Dequeue(t)
-		moved = append(moved, t)
 	}
 	if c.idle {
 		c.idleTime += time.Duration(m.now - c.idleSince)
@@ -634,6 +628,8 @@ func (m *Machine) SetCoreOnline(core int, online bool) {
 		m.NoteMigration(t, dst, "hotplug")
 		m.enqueue(t, dst, false)
 	}
+	// Drop the references so the buffer keeps no exited task alive.
+	clear(moved)
 	for _, fn := range m.onlineFns {
 		fn(c, false)
 	}

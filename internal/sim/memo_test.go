@@ -171,7 +171,7 @@ func tigertonCGHotplug(m *sim.Machine) {
 		{20 * time.Millisecond, 6, true},
 		{24 * time.Millisecond, 2, true},
 	} {
-		m.At(int64(h.at), func(int64) { m.SetCoreOnline(h.core, h.online) })
+		m.NewTimer(func(int64) { m.SetCoreOnline(h.core, h.online) }).ScheduleAfter(h.at)
 	}
 }
 

@@ -135,7 +135,7 @@ func cfsCrossSocket(shards int) (string, int) {
 func dwrrCrossSocket(shards int) (string, int) {
 	cfg := shardCfg(17, shards, false)
 	var g *dwrr.Global
-	cfg.NewScheduler, g = dwrr.NewFactory(dwrr.DefaultConfig())
+	cfg.NewScheduler, g = dwrr.NewFactory()
 	m := sim.New(topo.Tigerton(), cfg)
 	log := sim.LogTasks(m)
 	app := spmd.Build(m, spmd.Spec{
@@ -281,13 +281,13 @@ func TestSimultaneousMigrationsIntoShard(t *testing.T) {
 			tasks = append(tasks, tk)
 			m.StartOn(tk, i) // spread over sockets 0 and 1
 		}
-		m.After(2*time.Millisecond, func(now int64) {
+		m.NewTimer(func(now int64) {
 			for _, tk := range tasks {
 				if tk.CoreID != 12 {
 					m.MigrateNow(tk, 12, "test") // all into socket 3
 				}
 			}
-		})
+		}).ScheduleAfter(2 * time.Millisecond)
 		m.Run(int64(20 * time.Millisecond))
 		return fingerprint(m, log)
 	}
@@ -313,9 +313,9 @@ func TestMigrationAtSyncHorizon(t *testing.T) {
 		m.StartOn(other, 1)
 		// The mover's slice events land at multiples of its slice; fire
 		// the migration exactly at one of them.
-		m.At(int64(6*time.Millisecond), func(now int64) {
+		m.NewTimer(func(now int64) {
 			m.MigrateNow(tk, 14, "test")
-		})
+		}).ScheduleAfter(6 * time.Millisecond)
 		m.Run(int64(15 * time.Millisecond))
 		return fingerprint(m, log)
 	}
@@ -343,12 +343,12 @@ func TestHotplugMidMigrationSharded(t *testing.T) {
 		m.StartOn(tk, 2)
 		filler := m.NewTask("filler", hog(time.Millisecond))
 		m.StartOn(filler, 13)
-		m.After(time.Millisecond, func(now int64) {
+		m.NewTimer(func(now int64) {
 			m.Migrate(tk, 13, "test") // sleeping: just re-homes the wake
-		})
-		m.After(2*time.Millisecond, func(now int64) {
+		}).ScheduleAfter(time.Millisecond)
+		m.NewTimer(func(now int64) {
 			m.SetCoreOnline(13, false) // destination vanishes pre-wake
-		})
+		}).ScheduleAfter(2 * time.Millisecond)
 		m.Run(int64(20 * time.Millisecond))
 		if tk.State != task.Done {
 			t.Fatalf("victim state = %v, want done", tk.State)

@@ -235,7 +235,7 @@ func TestStopHalts(t *testing.T) {
 	m := newSMP(t, 1, 1)
 	tk := m.NewTask("t", &task.ComputeForever{Chunk: 1e6})
 	m.Start(tk)
-	m.After(5*time.Millisecond, func(int64) { m.Stop() })
+	m.NewTimer(func(int64) { m.Stop() }).ScheduleAfter(5 * time.Millisecond)
 	end := m.Run(int64(time.Hour))
 	if end > int64(6*time.Millisecond) {
 		t.Errorf("machine ran to %v after Stop at 5ms", time.Duration(end))

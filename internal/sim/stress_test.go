@@ -198,12 +198,13 @@ func TestNiceIsolationUnderSpeedBalancing(t *testing.T) {
 	}
 }
 
-// Machine.Cancel removes scheduled events.
+// Timer.Stop cancels a scheduled timer.
 func TestCancelEvent(t *testing.T) {
 	m := newSMP(t, 1, 1)
 	fired := false
-	ev := m.After(time.Millisecond, func(int64) { fired = true })
-	m.Cancel(ev)
+	tm := m.NewTimer(func(int64) { fired = true })
+	tm.ScheduleAfter(time.Millisecond)
+	tm.Stop()
 	m.RunFor(10 * time.Millisecond)
 	if fired {
 		t.Error("cancelled event fired")

@@ -150,10 +150,10 @@ func TestDynamicRescanAdoptsNewThreads(t *testing.T) {
 	t0, t1 := mk(0), mk(1)
 	m.StartOn(t0, 0)
 	m.StartOn(t1, 1)
-	m.After(500*time.Millisecond, func(int64) {
+	m.NewTimer(func(int64) {
 		t2 := mk(2)
 		m.StartOn(t2, 0)
-	})
+	}).ScheduleAfter(500 * time.Millisecond)
 	m.RunFor(10 * time.Second)
 	if sb.Adopted != 3 {
 		t.Fatalf("adopted %d threads, want 3", sb.Adopted)

@@ -117,7 +117,7 @@ func TestAccountingPurgeAndDrain(t *testing.T) {
 	}
 	for i := 0; i < 6; i++ {
 		i := i
-		m.After(time.Duration(i)*400*time.Millisecond, func(int64) { spawn(i) })
+		m.NewTimer(func(int64) { spawn(i) }).ScheduleAfter(time.Duration(i) * 400 * time.Millisecond)
 	}
 
 	// Run generously past the workload's end: before the drain fix the

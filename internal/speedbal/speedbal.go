@@ -79,8 +79,23 @@ const (
 	PullMostMigrated
 )
 
-// Config tunes the balancer. The zero value is completed by
-// DefaultConfig values in New.
+// The balancer's fixed parameters.
+const (
+	// postMigrationBlock is the number of balance intervals a core
+	// involved in a migration is blocked from further migrations
+	// (at least 2, §5.2).
+	postMigrationBlock = 2
+	// accountingGranularity quantises exec-time readings, modelling the
+	// tick-granular cputime accounting of the 2.6.28 kernel (a HZ=1000
+	// kernel). This is why the paper finds that "using a lower value
+	// for the balancing interval might produce inaccurate values for
+	// thread speeds" (§6.1): at B close to the tick, Δexec carries a
+	// relative error of tick/B.
+	accountingGranularity = time.Millisecond
+)
+
+// Config tunes the balancer. New completes a zero Interval or Threshold
+// with the paper's value.
 type Config struct {
 	// Interval is the balance interval (100 ms in all the paper's
 	// experiments, §5.1).
@@ -89,10 +104,6 @@ type Config struct {
 	// s_k/s_global < Threshold (0.9 in the paper, §5.2), which absorbs
 	// measurement noise when queues are perfectly balanced.
 	Threshold float64
-	// PostMigrationBlock is the number of balance intervals a core
-	// involved in a migration is blocked from further migrations
-	// (at least 2, §5.2).
-	PostMigrationBlock int
 	// BlockNUMA blocks migrations that cross NUMA domains (the paper's
 	// configuration on Barcelona).
 	BlockNUMA bool
@@ -103,19 +114,8 @@ type Config struct {
 	// N(0, σ), modelling the taskstats measurement noise the paper
 	// compensates for with T_s. Zero disables.
 	NoiseStdDev float64
-	// AccountingGranularity quantises exec-time readings, modelling the
-	// tick-granular cputime accounting of the 2.6.28 kernel (default
-	// 1 ms, a HZ=1000 kernel; 10 ms on a HZ=100 build). This is why
-	// the paper finds that "using a lower value for the balancing
-	// interval might produce inaccurate values for thread speeds"
-	// (§6.1): at B close to the tick, Δexec carries a relative error
-	// of tick/B. Negative disables quantisation.
-	AccountingGranularity time.Duration
 	// PullPolicy selects the victim thread (default least-migrated).
 	PullPolicy PullPolicy
-	// StartupDelay postpones the first balancing pass (the paper's
-	// user-tunable delay for /proc to settle).
-	StartupDelay time.Duration
 	// Measure selects the speed signal (default the paper's CPU share).
 	Measure Measure
 	// SMTAware weights sampled speeds by the sibling hardware context's
@@ -145,7 +145,7 @@ type Config struct {
 	// distributions, runs its decisions on horizon-extrapolated
 	// effective speeds, pulls from cores whose *predicted* speed
 	// crosses T_s when the slowest-core probability bound clears
-	// Predict.MinConfidence, and places admitted group threads on the
+	// predict.MinConfidence, and places admitted group threads on the
 	// predicted-fastest core. With Predict.Horizon or Predict.Weight
 	// zero the decisions degenerate to the reactive balancer exactly
 	// (byte-identical output — pinned by difftest).
@@ -155,13 +155,11 @@ type Config struct {
 // DefaultConfig returns the paper's parameters.
 func DefaultConfig() Config {
 	return Config{
-		Interval:              100 * time.Millisecond,
-		Threshold:             0.9,
-		PostMigrationBlock:    2,
-		BlockNUMA:             true,
-		Jitter:                true,
-		NoiseStdDev:           0.01,
-		AccountingGranularity: time.Millisecond,
+		Interval:    100 * time.Millisecond,
+		Threshold:   0.9,
+		BlockNUMA:   true,
+		Jitter:      true,
+		NoiseStdDev: 0.01,
 	}
 }
 
@@ -270,7 +268,8 @@ type Balancer struct {
 	stopped   bool
 }
 
-// New creates a balancer with cfg; zero fields take defaults.
+// New creates a balancer with cfg; a zero Interval or Threshold takes
+// the paper's value.
 func New(cfg Config) *Balancer {
 	d := DefaultConfig()
 	if cfg.Interval == 0 {
@@ -278,26 +277,6 @@ func New(cfg Config) *Balancer {
 	}
 	if cfg.Threshold == 0 {
 		cfg.Threshold = d.Threshold
-	}
-	if cfg.PostMigrationBlock == 0 {
-		cfg.PostMigrationBlock = d.PostMigrationBlock
-	}
-	if cfg.AccountingGranularity == 0 {
-		cfg.AccountingGranularity = d.AccountingGranularity
-	}
-	if cfg.Predict.Enabled {
-		// Complete the estimator knobs; Horizon and Weight stay as
-		// given — they are the degeneracy dials the ablations sweep.
-		pd := predict.DefaultConfig()
-		if cfg.Predict.MinConfidence == 0 {
-			cfg.Predict.MinConfidence = pd.MinConfidence
-		}
-		if cfg.Predict.Decay == 0 {
-			cfg.Predict.Decay = pd.Decay
-		}
-		if cfg.Predict.MinWeight == 0 {
-			cfg.Predict.MinWeight = pd.MinWeight
-		}
 	}
 	return &Balancer{
 		cfg:        cfg,
@@ -390,7 +369,7 @@ func (b *Balancer) Start(m *sim.Machine) {
 		}
 	}
 	if b.cfg.Predict.Enabled {
-		b.tracker = predict.NewTracker(b.cfg.Predict, n, b.cfg.Interval)
+		b.tracker = predict.NewTracker(n, b.cfg.Interval)
 		b.predActive = b.cfg.Predict.Active()
 		b.effBuf = make([]float64, n)
 		b.occAtSample = make([]int, n)
@@ -441,8 +420,7 @@ func (b *Balancer) Start(m *sim.Machine) {
 		} else {
 			b.wakeTimers[j] = m.NewTimer(fn)
 		}
-		delay := b.cfg.StartupDelay + b.cfg.Interval
-		b.wakeTimers[j].Schedule(m.Now() + int64(delay) + b.jitter())
+		b.wakeTimers[j].Schedule(m.Now() + int64(b.cfg.Interval) + b.jitter())
 	}
 }
 
@@ -799,10 +777,7 @@ func (b *Balancer) sample(j int, now int64) {
 		} else {
 			// Read exec time the way the taskstats interface reports
 			// it: quantised to the accounting tick.
-			read := t.ExecTime
-			if g := b.cfg.AccountingGranularity; g > 0 {
-				read = read / g * g
-			}
+			read := t.ExecTime / accountingGranularity * accountingGranularity
 			d := read - b.lastExec[t]
 			b.lastExec[t] = read
 			// Weight the CPU share by the core's relative clock: §4
@@ -1030,8 +1005,8 @@ type pullCand struct {
 // active the decision runs on *effective* speeds (realized blended
 // toward predicted), and a candidate that qualifies only predictively —
 // its realized speed is still above T_s — additionally needs its
-// slowest-core probability bound to clear MinConfidence before the pull
-// fires as a KindPredictMigrate.
+// slowest-core probability bound to clear predict.MinConfidence before
+// the pull fires as a KindPredictMigrate.
 func (b *Balancer) balance(j int, now int64) {
 	sj := b.speeds[j]
 	if sj < 0 {
@@ -1064,7 +1039,7 @@ func (b *Balancer) balance(j int, now int64) {
 		}
 		return
 	}
-	block := int64(b.cfg.PostMigrationBlock) * int64(b.cfg.Interval)
+	block := postMigrationBlock * int64(b.cfg.Interval)
 	if now-b.lastMigration[j] < block {
 		if tr {
 			b.traceSkip(local, local, "post-migration-block", 0, sg)
@@ -1106,7 +1081,7 @@ func (b *Balancer) balance(j int, now int64) {
 				if mc := b.marginalBelow(k, skEff, sgEff); mc > conf {
 					conf = mc
 				}
-				if conf < b.cfg.Predict.MinConfidence {
+				if conf < predict.MinConfidence {
 					if tr {
 						b.traceSkip(local, remote, "predict-low-confidence", skEff, sgEff)
 					}

@@ -296,11 +296,11 @@ func TestHotplugUnplugReplug(t *testing.T) {
 	}
 	sb.Launch(m, app)
 	var busyAtReplug time.Duration
-	m.After(unplugAt, func(int64) { m.SetCoreOnline(3, false) })
-	m.After(replugAt, func(int64) {
+	m.NewTimer(func(int64) { m.SetCoreOnline(3, false) }).ScheduleAfter(unplugAt)
+	m.NewTimer(func(int64) {
 		busyAtReplug = m.Cores[3].BusyTime
 		m.SetCoreOnline(3, true)
-	})
+	}).ScheduleAfter(replugAt)
 	m.Run(int64(time.Hour))
 	m.Sync()
 	if !app.Done() {
@@ -344,14 +344,14 @@ func TestAdmissionIntoDrainedMachineRearms(t *testing.T) {
 	// wake timer gave up: three threads into two cores, the §1 imbalance
 	// the balancer exists to fix.
 	var second []*task.Task
-	m.After(3*time.Second, func(int64) {
+	m.NewTimer(func(int64) {
 		for i := 0; i < 3; i++ {
 			tk := m.NewTask("dyn.late", &task.Seq{Actions: []task.Action{task.Compute(500e6)}})
 			tk.Group = "dyn"
 			second = append(second, tk)
 			m.StartOn(tk, i%2)
 		}
-	})
+	}).ScheduleAfter(3 * time.Second)
 	m.Run(int64(time.Hour))
 
 	if first.State != task.Done {
@@ -383,11 +383,11 @@ func TestManageAfterAllDoneRearms(t *testing.T) {
 	sb.Launch(m, app1)
 
 	var app2 *spmd.App
-	m.After(3*time.Second, func(int64) {
+	m.NewTimer(func(int64) {
 		app2 = spmd.Build(m, epThreeOnTwo(2e9))
 		app2.StartPinned()
 		sb.Manage(m, app2.Tasks, cpuset.All(2))
-	})
+	}).ScheduleAfter(3 * time.Second)
 	m.Run(int64(time.Hour))
 
 	if !app1.Done() {

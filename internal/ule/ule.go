@@ -18,36 +18,28 @@ package ule
 import (
 	"time"
 
-	"repro/internal/cpuset"
 	"repro/internal/sim"
 	"repro/internal/task"
 	"repro/internal/trace"
 	"repro/internal/xrand"
 )
 
+// PushInterval is the push balancer period ("runs twice a second").
+const PushInterval = 500 * time.Millisecond
+
 // Config tunes the balancer.
 type Config struct {
-	// PushInterval is the push balancer period ("runs twice a second").
-	PushInterval time.Duration
 	// StealThreshold is the minimum queue length an idle core steals
 	// from (kern.sched.steal_thresh; 2 by default).
 	StealThreshold int
 	// MinImbalance is the queue-length difference required for a push
 	// (2 by default: a static balance must be improvable).
 	MinImbalance int
-	// Domain restricts pushing and stealing to a core subset — one
-	// Balancer instance per socket/shard models partitioned scheduling
-	// domains. Empty means the whole machine. When the domain is
-	// contained in one simulation shard, the push timer rides that
-	// shard's queue, so the twice-a-second pass no longer bounds
-	// conservative lookahead and runs inside parallel windows.
-	Domain cpuset.Set
 }
 
 // DefaultConfig returns the FreeBSD 7.2 defaults.
 func DefaultConfig() Config {
 	return Config{
-		PushInterval:   500 * time.Millisecond,
 		StealThreshold: 2,
 		MinImbalance:   2,
 	}
@@ -59,14 +51,12 @@ type Balancer struct {
 	m   *sim.Machine
 	rng *xrand.RNG
 
-	// domain is the resolved balancing scope (Config.Domain or all).
-	domain cpuset.Set
 	// pushTimer is the reusable push-balancer timer.
 	pushTimer *sim.Timer
 	// steals[j] is steal's search state for pulls into core j, with its
 	// visitor bound once at Start so a steal allocates nothing. It is
-	// per core because a domain contained in one shard balances inside
-	// parallel windows, on the worker of the destination core's shard.
+	// per core because idle steals run on the worker of the idling
+	// core's shard.
 	steals []stealScan
 
 	// Pushes and Pulls count balancing actions.
@@ -76,9 +66,6 @@ type Balancer struct {
 // New creates the balancer.
 func New(cfg Config) *Balancer {
 	d := DefaultConfig()
-	if cfg.PushInterval == 0 {
-		cfg.PushInterval = d.PushInterval
-	}
 	if cfg.StealThreshold == 0 {
 		cfg.StealThreshold = d.StealThreshold
 	}
@@ -95,31 +82,18 @@ func Default() *Balancer { return New(DefaultConfig()) }
 func (b *Balancer) Start(m *sim.Machine) {
 	b.m = m
 	b.rng = m.RNG()
-	b.domain = b.cfg.Domain
-	if b.domain.Empty() {
-		b.domain = m.Topo.AllCores()
-	}
 	b.steals = make([]stealScan, len(m.Cores))
-	b.domain.ForEach(func(id int) bool {
+	for id := range b.steals {
 		sc := &b.steals[id]
 		sc.dst = id
 		sc.visit = sc.consider
-		return true
-	})
+	}
 	m.OnIdle(b.idled)
-	fn := func(now int64) {
+	b.pushTimer = m.NewTimer(func(now int64) {
 		b.push(now)
-		b.pushTimer.Schedule(now + int64(b.cfg.PushInterval))
-	}
-	// The push pass reads and moves only domain queues: when they all
-	// live in one shard the timer may ride that shard's queue instead of
-	// bounding conservative lookahead.
-	if first := b.domain.First(); first >= 0 && b.m.ShardCores(m.ShardOf(first)).Contains(b.domain) {
-		b.pushTimer = m.NewCoreTimer(first, fn)
-	} else {
-		b.pushTimer = m.NewTimer(fn)
-	}
-	b.pushTimer.Schedule(m.Now() + int64(b.cfg.PushInterval))
+		b.pushTimer.Schedule(now + int64(PushInterval))
+	})
+	b.pushTimer.Schedule(m.Now() + int64(PushInterval))
 }
 
 // push moves one thread from the most to the least loaded queue when the
@@ -127,9 +101,8 @@ func (b *Balancer) Start(m *sim.Machine) {
 func (b *Balancer) push(now int64) {
 	var hi, lo *sim.Core
 	for _, c := range b.m.Cores {
-		if !c.Online() || !b.domain.Has(c.ID()) {
-			// An offline queue holds nothing and must receive nothing;
-			// out-of-domain queues belong to another balancer.
+		if !c.Online() {
+			// An offline queue holds nothing and must receive nothing.
 			continue
 		}
 		if hi == nil || c.NrRunnable() > hi.NrRunnable() {
@@ -162,13 +135,9 @@ func (b *Balancer) push(now int64) {
 
 // idled is ULE's tdq_idled: an idle core steals from a loaded queue.
 func (b *Balancer) idled(c *sim.Core) {
-	if !b.domain.Has(c.ID()) {
-		return
-	}
 	var busiest *sim.Core
 	for _, o := range b.m.Cores {
-		if o == c || !o.Online() || !b.domain.Has(o.ID()) ||
-			o.NrRunnable() < b.cfg.StealThreshold {
+		if o == c || !o.Online() || o.NrRunnable() < b.cfg.StealThreshold {
 			continue
 		}
 		if busiest == nil || o.NrRunnable() > busiest.NrRunnable() {
@@ -192,8 +161,7 @@ func (b *Balancer) traceSkip(core int, label, reason string) {
 		Label: label, Reason: reason})
 }
 
-// steal picks a migratable queued thread from src that may run on dst,
-// a domain core.
+// steal picks a migratable queued thread from src that may run on dst.
 func (b *Balancer) steal(src *sim.Core, dst int) *task.Task {
 	sc := &b.steals[dst]
 	src.Scheduler().EachQueued(sc.visit)

@@ -85,7 +85,7 @@ func TestPushPeriod(t *testing.T) {
 		m.StartOn(tk, 0)
 	}
 	m.RunFor(3 * time.Second)
-	maxPushes := int(3*time.Second/ule.DefaultConfig().PushInterval) + 1
+	maxPushes := int(3*time.Second/ule.PushInterval) + 1
 	if b.Pushes > maxPushes {
 		t.Errorf("pushes %d exceed one per period (max %d)", b.Pushes, maxPushes)
 	}

@@ -73,8 +73,6 @@ type (
 	SpeedConfig = speedbal.Config
 	// SpeedBalancer is the paper's user-level balancer.
 	SpeedBalancer = speedbal.Balancer
-	// LinuxConfig tunes the Linux-model load balancer.
-	LinuxConfig = linuxlb.Config
 	// CPUSet is a set of core IDs.
 	CPUSet = cpuset.Set
 	// Experiment regenerates one paper table or figure.
@@ -202,10 +200,9 @@ type System struct {
 type Option func(*config)
 
 type config struct {
-	seed     uint64
-	osKind   osKind
-	linuxCfg linuxlb.Config
-	simCfg   sim.Config
+	seed   uint64
+	osKind osKind
+	simCfg sim.Config
 }
 
 type osKind int
@@ -232,11 +229,6 @@ func WithDWRR() Option { return func(c *config) { c.osKind = osDWRR } }
 // only) — useful for controlled experiments.
 func WithoutBalancing() Option { return func(c *config) { c.osKind = osNone } }
 
-// WithLinuxConfig overrides the Linux balancer parameters.
-func WithLinuxConfig(cfg LinuxConfig) Option {
-	return func(c *config) { c.linuxCfg = cfg }
-}
-
 // WithTracer streams every scheduling event (migrations, balancer
 // decisions, barrier arrivals, run stints) to t. Tracing observes the
 // simulation without perturbing it: a traced run produces bit-identical
@@ -253,21 +245,21 @@ func WithMetrics(r *MetricsRegistry) Option {
 // NewSystem builds a simulated machine running the configured OS
 // (default: CFS per core plus the Linux 2.6.28-style load balancer).
 func NewSystem(t *Topology, opts ...Option) *System {
-	c := config{linuxCfg: linuxlb.DefaultConfig()}
+	var c config
 	for _, o := range opts {
 		o(&c)
 	}
 	c.simCfg.Seed = c.seed
 	switch c.osKind {
 	case osDWRR:
-		c.simCfg.NewScheduler, _ = dwrr.NewFactory(dwrr.DefaultConfig())
+		c.simCfg.NewScheduler, _ = dwrr.NewFactory()
 	default:
 		c.simCfg.NewScheduler = cfs.Factory()
 	}
 	m := sim.New(t, c.simCfg)
 	switch c.osKind {
 	case osLinux:
-		m.AddActor(linuxlb.New(c.linuxCfg))
+		m.AddActor(linuxlb.Default())
 	case osULE:
 		m.AddActor(ule.Default())
 	}
@@ -301,8 +293,8 @@ func (s *System) StartPinned(spec AppSpec) *App {
 // equalise their speeds. A zero SpeedConfig uses the paper's parameters,
 // speedbal.DefaultConfig (100 ms interval with jitter, T_s = 0.9,
 // two-interval block, NUMA blocked, 1% sampling noise). A non-zero one
-// is taken as given, except that a zero Interval, Threshold,
-// PostMigrationBlock or AccountingGranularity gets the paper's value.
+// is taken as given, except that a zero Interval or Threshold gets the
+// paper's value.
 func (s *System) SpeedBalance(app *App, cfg SpeedConfig) *SpeedBalancer {
 	if cfg == (SpeedConfig{}) {
 		cfg = speedbal.DefaultConfig()
