@@ -67,7 +67,7 @@ var allocRows = []struct {
 		return steady(fabric1kSetup(), 100*time.Millisecond, 10*time.Millisecond), nil
 	}},
 	{"open", false, 20, 6, func(*testing.T) (func(), func() int) {
-		m, g := openScenario()
+		m, g := openScenario(nil)
 		return steady(m, time.Second, 100*time.Millisecond), func() int { return g.Admitted }
 	}},
 	{"setup", false, 20, 560, func(*testing.T) (func(), func() int) { return buildTigerton, nil }},
@@ -172,10 +172,15 @@ func addPerturbation(m *sim.Machine) {
 // 16-core Tigerton under the Linux balancer. Each interval covers the
 // whole arrival pipeline — exponential draws, control-queue timers,
 // task creation, placement, per-job accounting on departure — on top of
-// the scheduler traffic the admitted jobs generate.
-func openScenario() (*sim.Machine, *openload.Gen) {
+// the scheduler traffic the admitted jobs generate. A non-nil speed adds
+// a speed balancer with that config, as open-bakeoff's SPEED policy
+// does.
+func openScenario(speed *speedbal.Config) (*sim.Machine, *openload.Gen) {
 	m := sim.New(topo.Tigerton(), sim.Config{Seed: allocSeed, NewScheduler: cfs.Factory()})
 	m.AddActor(linuxlb.Default())
+	if speed != nil {
+		m.AddActor(speedbal.New(*speed))
+	}
 	g := openload.New(openload.Config{Rho: 0.8})
 	m.AddActor(g)
 	return m, g
@@ -202,23 +207,41 @@ func buildTigerton() {
 // An open run holds memory only for its live jobs. From 20 s to 120 s
 // of simulated time at ρ=0.8 the heap left after a collection may grow
 // by at most 8 B per admitted job, which is noise: the machine forgets
-// an exited task, and the generator hands each completed job's record
-// to its OnJobDone hook (unset here) instead of keeping it. Keeping the
-// 64-byte records reads about 81 B per job, and keeping every exited
-// task, its name, program and sleep timer several hundred.
+// an exited task, the generator hands each completed job's record to
+// its OnJobDone hook (unset here) instead of keeping it, and a speed
+// balancer adopting the arrivals forgets each thread when it exits.
+// Keeping the 64-byte records reads about 81 B per job, keeping every
+// exited task, its name, program and sleep timer several hundred, and a
+// speed balancer that keeps every thread it adopted 427 (459 with
+// prediction).
 func TestOpenRunMemoryBounded(t *testing.T) {
-	m, g := openScenario()
-	m.RunFor(20 * time.Second)
-	before, jobs := liveHeap(), g.Admitted
-	m.RunFor(100 * time.Second)
-	after := liveHeap()
-	jobs = g.Admitted - jobs
-	runtime.KeepAlive(m)
-	perJob := (float64(after) - float64(before)) / float64(jobs)
-	t.Logf("heap %d → %d B over %d admitted jobs: %.0f B/job, %d live tasks",
-		before, after, jobs, perJob, m.LiveTasks())
-	if perJob > 8 {
-		t.Errorf("heap grew by %.0f B per admitted job, want at most 8", perJob)
+	speed := speedbal.DefaultConfig()
+	speed.RescanGroup = openload.Group
+	predictive := speed
+	predictive.Predict = predict.DefaultConfig()
+	for _, r := range []struct {
+		name  string
+		speed *speedbal.Config
+	}{
+		{"LOAD", nil},
+		{"SPEED", &speed},
+		{"SPEED-predict", &predictive},
+	} {
+		t.Run(r.name, func(t *testing.T) {
+			m, g := openScenario(r.speed)
+			m.RunFor(20 * time.Second)
+			before, jobs := liveHeap(), g.Admitted
+			m.RunFor(100 * time.Second)
+			after := liveHeap()
+			jobs = g.Admitted - jobs
+			runtime.KeepAlive(m)
+			perJob := (float64(after) - float64(before)) / float64(jobs)
+			t.Logf("heap %d → %d B over %d admitted jobs: %.0f B/job, %d live tasks",
+				before, after, jobs, perJob, m.LiveTasks())
+			if perJob > 8 {
+				t.Errorf("heap grew by %.0f B per admitted job, want at most 8", perJob)
+			}
+		})
 	}
 }
 

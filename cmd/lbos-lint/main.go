@@ -83,7 +83,6 @@ type finding struct {
 func main() {
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	format := flag.String("f", "text", "output format: text, json, or github (workflow annotations)")
-	asJSON := flag.Bool("json", false, "shorthand for -f json")
 	report := flag.String("o", "", "also write the JSON report to this file")
 	ledger := flag.String("ledger", "", "verify //lint:allow-* counts against this committed budget file")
 	writeLedger := flag.String("write-ledger", "", "regenerate the budget file from the current tree and exit")
@@ -97,9 +96,6 @@ func main() {
 	if flag.NArg() == 0 {
 		flag.Usage()
 		os.Exit(2)
-	}
-	if *asJSON {
-		*format = "json"
 	}
 	switch *format {
 	case "text", "json", "github":

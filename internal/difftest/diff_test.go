@@ -1,7 +1,11 @@
 package difftest
 
 import (
+	"bufio"
 	"encoding/json"
+	"fmt"
+	"io"
+	"os"
 	"testing"
 )
 
@@ -37,18 +41,19 @@ func TestEngineEquivalence(t *testing.T) {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			ref, err := RunExperiment(id, 2, 32, 20100109, Settings{Parallelism: 1})
+			dir := t.TempDir()
+			ref, err := RunExperiment(id, 2, 32, 20100109, Settings{Parallelism: 1}, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if ref.Tables == "" {
 				t.Fatal("reference run rendered no tables")
 			}
-			if !json.Valid(ref.Trace) {
-				t.Fatalf("reference trace is not valid JSON:\n%.200s", ref.Trace)
+			if err := validTrace(ref.Trace); err != nil {
+				t.Fatalf("reference trace is not a valid JSON trace document: %v", err)
 			}
 			for _, s := range matrix {
-				got, err := RunExperiment(id, 2, 32, 20100109, s)
+				got, err := RunExperiment(id, 2, 32, 20100109, s, dir)
 				if err != nil {
 					t.Fatalf("%v: %v", s, err)
 				}
@@ -70,7 +75,7 @@ func TestEngineEquivalenceBare(t *testing.T) {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			ref, err := RunExperiment(id, 2, 1, 20100109, Settings{Parallelism: 1, Bare: true})
+			ref, err := RunExperiment(id, 2, 1, 20100109, Settings{Parallelism: 1, Bare: true}, "")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,7 +83,7 @@ func TestEngineEquivalenceBare(t *testing.T) {
 				{Parallelism: 1, Bare: true},
 				{Parallelism: 8, Bare: true},
 			} {
-				got, err := RunExperiment(id, 2, 1, 20100109, s)
+				got, err := RunExperiment(id, 2, 1, 20100109, s, "")
 				if err != nil {
 					t.Fatalf("%v: %v", s, err)
 				}
@@ -101,12 +106,13 @@ func TestEngineEquivalenceAcrossSeeds(t *testing.T) {
 	const id = "abl-jit" // seed-sensitive: tabulates run-time variation
 	s := Settings{Parallelism: 8}
 	tables := map[string]bool{}
+	dir := t.TempDir()
 	for _, seed := range []uint64{1, 2, 20100109} {
-		ref, err := RunExperiment(id, 2, 32, seed, Settings{Parallelism: 1})
+		ref, err := RunExperiment(id, 2, 32, seed, Settings{Parallelism: 1}, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunExperiment(id, 2, 32, seed, s)
+		got, err := RunExperiment(id, 2, 32, seed, s, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,5 +123,68 @@ func TestEngineEquivalenceAcrossSeeds(t *testing.T) {
 	}
 	if len(tables) < 2 {
 		t.Error("every seed rendered identical tables — the equivalence comparison has no power")
+	}
+}
+
+// validTrace checks that the file is a Chrome trace document, one
+// object holding a traceEvents array of JSON values, decoding it one
+// event at a time so a large trace is never held whole.
+func validTrace(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	dec := json.NewDecoder(bufio.NewReader(f))
+	expect := func(want ...json.Token) error {
+		for _, w := range want {
+			if tok, err := dec.Token(); err != nil || tok != w {
+				return fmt.Errorf("want %v, got %v (%v)", w, tok, err)
+			}
+		}
+		return nil
+	}
+	if err := expect(json.Delim('{'), "traceEvents", json.Delim('[')); err != nil {
+		return err
+	}
+	for dec.More() {
+		var ev json.RawMessage
+		if err := dec.Decode(&ev); err != nil {
+			return err
+		}
+	}
+	if err := expect(json.Delim(']'), json.Delim('}')); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("data after the document")
+	}
+	return nil
+}
+
+// Diff names the first differing line of two spooled traces and the
+// column of its first differing byte, and finds identical traces equal.
+func TestDiffNamesFirstTraceLine(t *testing.T) {
+	dir := t.TempDir()
+	spool := func(s string) Capture {
+		f, err := os.CreateTemp(dir, "trace-*.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.WriteString(s); err != nil {
+			t.Fatal(err)
+		}
+		return Capture{Trace: f.Name()}
+	}
+	ref := spool("{\n\"a\":1,\"b\":2\n}")
+	for _, c := range []struct{ got, want string }{
+		{"{\n\"a\":1,\"b\":2\n}", ""},
+		{"{\n\"a\":1,\"b\":3\n}", "trace bytes differ:\nline 2, column 11:\n  want: \"\\\"a\\\":1,\\\"b\\\":2\"\n  got:  \"\\\"a\\\":1,\\\"b\\\":3\""},
+		{"{\n\"a\":1", "trace bytes differ:\nline 2, column 6:\n  want: \"\\\"a\\\":1,\\\"b\\\":2\"\n  got:  \"\\\"a\\\":1\""},
+	} {
+		if d := Diff(ref, spool(c.got)); d != c.want {
+			t.Errorf("Diff against %q:\n%s\nwant\n%s", c.got, d, c.want)
+		}
 	}
 }

@@ -26,8 +26,11 @@
 package difftest
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"io"
+	"os"
 	"strings"
 
 	"repro/internal/exp"
@@ -59,8 +62,10 @@ func (s Settings) String() string {
 type Capture struct {
 	// Tables is the concatenation of the experiment's rendered tables.
 	Tables string
-	// Trace is the Chrome trace-event JSON document.
-	Trace []byte
+	// Trace names the file holding the Chrome trace-event JSON document
+	// ("" for bare captures). An open-system run's trace reaches tens of
+	// megabytes, so it is spooled to disk rather than held in memory.
+	Trace string
 	// Metrics is the aggregated metrics snapshot rendered as tables —
 	// rendering makes the comparison a byte comparison and the failure
 	// output human-readable.
@@ -69,16 +74,24 @@ type Capture struct {
 
 // RunExperiment executes the registered experiment driver id with every
 // output channel attached and captures the results. reps/scale/seed pin
-// the workload; s picks the engine.
-func RunExperiment(id string, reps, scale int, seed uint64, s Settings) (Capture, error) {
+// the workload; s picks the engine; the trace is spooled to a new file
+// in dir.
+func RunExperiment(id string, reps, scale int, seed uint64, s Settings, dir string) (Capture, error) {
 	e, err := exp.ByID(id)
 	if err != nil {
 		return Capture{}, err
 	}
-	var traceBuf bytes.Buffer
 	ctx := &exp.Context{Reps: reps, Scale: scale, Seed: seed, Parallelism: s.Parallelism}
+	var trace *os.File
+	var spool *bufio.Writer
 	if !s.Bare {
-		ctx.Trace = exp.NewTraceSink(&traceBuf)
+		if trace, err = os.CreateTemp(dir, id+"-*.json"); err != nil {
+			return Capture{}, fmt.Errorf("difftest: %w", err)
+		}
+		defer trace.Close()
+		// Traces run to hundreds of megabytes: write them in large chunks.
+		spool = bufio.NewWriterSize(trace, 1<<20)
+		ctx.Trace = exp.NewTraceSink(spool)
 		ctx.Metrics = metrics.NewAggregate()
 	}
 	var tables strings.Builder
@@ -91,11 +104,17 @@ func RunExperiment(id string, reps, scale int, seed uint64, s Settings) (Capture
 	if err := ctx.Trace.Close(); err != nil {
 		return Capture{}, fmt.Errorf("difftest: closing trace: %w", err)
 	}
+	if err := spool.Flush(); err != nil {
+		return Capture{}, fmt.Errorf("difftest: writing trace file: %w", err)
+	}
+	if err := trace.Close(); err != nil {
+		return Capture{}, fmt.Errorf("difftest: closing trace file: %w", err)
+	}
 	var ms strings.Builder
 	for _, t := range exp.MetricsTables(ctx.Metrics.Snapshot()) {
 		t.Render(&ms)
 	}
-	return Capture{Tables: tables.String(), Trace: traceBuf.Bytes(), Metrics: ms.String()}, nil
+	return Capture{Tables: tables.String(), Trace: trace.Name(), Metrics: ms.String()}, nil
 }
 
 // Diff compares two captures and describes the first divergence, or
@@ -104,13 +123,82 @@ func Diff(want, got Capture) string {
 	if want.Tables != got.Tables {
 		return "tables differ:\n" + firstDivergence(want.Tables, got.Tables)
 	}
-	if !bytes.Equal(want.Trace, got.Trace) {
-		return "trace bytes differ:\n" + firstDivergence(string(want.Trace), string(got.Trace))
+	if want.Trace != "" || got.Trace != "" {
+		if d := diffFiles(want.Trace, got.Trace); d != "" {
+			return "trace bytes differ:\n" + d
+		}
 	}
 	if want.Metrics != got.Metrics {
 		return "metrics differ:\n" + firstDivergence(want.Metrics, got.Metrics)
 	}
 	return ""
+}
+
+// diffContext is how many bytes of the differing line diffFiles shows
+// on each side of the first differing byte; a trace is one long line.
+const diffContext = 120
+
+// diffFiles compares two files in fixed-size chunks and renders the
+// first differing line around its first differing byte, or returns ""
+// when they are byte-identical.
+func diffFiles(wantPath, gotPath string) string {
+	want, err := os.Open(wantPath)
+	if err != nil {
+		return err.Error()
+	}
+	defer want.Close()
+	got, err := os.Open(gotPath)
+	if err != nil {
+		return err.Error()
+	}
+	defer got.Close()
+	wbuf, gbuf := make([]byte, 64<<10), make([]byte, 64<<10)
+	var off, lineStart int64
+	line := 1
+	for {
+		wn, werr := io.ReadFull(want, wbuf)
+		gn, gerr := io.ReadFull(got, gbuf)
+		for _, err := range []error{werr, gerr} {
+			if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+				return err.Error()
+			}
+		}
+		n := min(wn, gn)
+		i := n
+		if !bytes.Equal(wbuf[:n], gbuf[:n]) {
+			for i = 0; wbuf[i] == gbuf[i]; i++ {
+			}
+		}
+		line += bytes.Count(wbuf[:i], []byte{'\n'})
+		if j := bytes.LastIndexByte(wbuf[:i], '\n'); j >= 0 {
+			lineStart = off + int64(j) + 1
+		}
+		if i < n || wn != gn {
+			at := off + int64(i)
+			return fmt.Sprintf("line %d, column %d:\n  want: %q\n  got:  %q", line, at-lineStart+1,
+				lineAround(want, lineStart, at), lineAround(got, lineStart, at))
+		}
+		if wn < len(wbuf) {
+			return "" // both ended together
+		}
+		off += int64(n)
+	}
+}
+
+// lineAround returns the line of f starting at offset start, clipped to
+// diffContext bytes on each side of offset at.
+func lineAround(f *os.File, start, at int64) string {
+	from := max(start, at-diffContext)
+	buf := make([]byte, at-from+diffContext)
+	n, err := f.ReadAt(buf, from)
+	if err != nil && err != io.EOF {
+		return err.Error()
+	}
+	buf = buf[:n]
+	if i := bytes.IndexByte(buf[at-from:], '\n'); i >= 0 {
+		buf = buf[:at-from+int64(i)]
+	}
+	return string(buf)
 }
 
 // firstDivergence renders the first differing line of two outputs with

@@ -3,6 +3,9 @@ package difftest
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"io"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/exp"
@@ -41,11 +44,12 @@ func TestPinnedContendedCaptures(t *testing.T) {
 	for _, p := range pinned {
 		t.Run(p.id, func(t *testing.T) {
 			t.Parallel()
-			c, err := RunExperiment(p.id, 1, 8, 20100109, Settings{Parallelism: 1})
+			c, err := RunExperiment(p.id, 1, 8, 20100109, Settings{Parallelism: 1}, t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := digest([]byte(c.Tables), c.Trace, []byte(c.Metrics)); got != p.digest {
+			got := digest(t, strings.NewReader(c.Tables), traceOf(t, c), strings.NewReader(c.Metrics))
+			if got != p.digest {
 				t.Errorf("capture digest %s, pinned %s", got, p.digest)
 			}
 		})
@@ -117,12 +121,12 @@ func TestRegistryPins(t *testing.T) {
 	for _, p := range registryPins {
 		t.Run(p.id, func(t *testing.T) {
 			t.Parallel()
-			c, err := RunExperiment(p.id, 1, 32, 20100109, Settings{Parallelism: 1})
+			c, err := RunExperiment(p.id, 1, 32, 20100109, Settings{Parallelism: 1}, t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
-			tables := digest([]byte(c.Tables))
-			observed := digest(c.Trace, []byte(c.Metrics))
+			tables := digest(t, strings.NewReader(c.Tables))
+			observed := digest(t, traceOf(t, c), strings.NewReader(c.Metrics))
 			if tables != p.tables || observed != p.observed {
 				t.Errorf("tables %s, observed %s; pinned %s, %s; re-record as\n\t{%q, %q, %q},",
 					tables, observed, p.tables, p.observed, p.id, tables, observed)
@@ -133,11 +137,25 @@ func TestRegistryPins(t *testing.T) {
 
 // digest is the first 8 bytes of the SHA-256 of parts, each followed by
 // a zero byte, in hex.
-func digest(parts ...[]byte) string {
+func digest(t *testing.T, parts ...io.Reader) string {
+	t.Helper()
 	h := sha256.New()
-	for _, b := range parts {
-		h.Write(b)
+	for _, p := range parts {
+		if _, err := io.Copy(h, p); err != nil {
+			t.Fatal(err)
+		}
 		h.Write([]byte{0})
 	}
 	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+// traceOf opens c's spooled trace for the rest of the test.
+func traceOf(t *testing.T, c Capture) io.Reader {
+	t.Helper()
+	f, err := os.Open(c.Trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return f
 }

@@ -44,15 +44,6 @@ func NewFactory() (func(coreID int) sim.Scheduler, *Global) {
 	}, g
 }
 
-// Steals sums round-balancing migrations across queues.
-func (g *Global) Steals() int {
-	n := 0
-	for _, q := range g.queues {
-		n += q.steals
-	}
-	return n
-}
-
 // MaxRoundSpread returns the largest difference between busy cores'
 // round numbers — the DWRR invariant bounds it by 1.
 func (g *Global) MaxRoundSpread() int {
@@ -85,7 +76,6 @@ type Queue struct {
 	expired []*task.Task
 	cur     *task.Task
 	round   int
-	steals  int
 	// roundServed accumulates weighted CPU time charged since the round
 	// began. Rounds normally close when active empties, but under open
 	// arrivals active may never empty — each newcomer joins the current
@@ -224,7 +214,6 @@ func (q *Queue) stealRound() bool {
 	remove(&victim.active, pick)
 	pick.Sched.OnQueue = false
 	q.g.m.NoteMigration(pick, q.core, "dwrr")
-	q.steals++
 	pick.Sched.Round = q.round
 	q.active = append(q.active, pick)
 	pick.Sched.OnQueue = true

@@ -21,7 +21,7 @@ func newDWRR(n int, seed uint64) (*sim.Machine, *dwrr.Global) {
 // under DWRR make near-equal progress (~66% each), unlike queue-length
 // balancing's 50/50/100 split.
 func TestThreeOnTwoFairness(t *testing.T) {
-	m, g := newDWRR(2, 1)
+	m, _ := newDWRR(2, 1)
 	var tasks []*task.Task
 	for i := 0; i < 3; i++ {
 		tk := m.NewTask("t", &task.ComputeForever{Chunk: 1e9})
@@ -50,7 +50,7 @@ func TestThreeOnTwoFairness(t *testing.T) {
 	if min < 5500*time.Millisecond {
 		t.Errorf("min exec %v: a thread is starved as under queue-length balancing", min)
 	}
-	if g.Steals() == 0 {
+	if m.Stats.Migrations["dwrr"] == 0 {
 		t.Error("round balancing performed no steals")
 	}
 }
@@ -131,7 +131,7 @@ func TestSleepWakeConsistency(t *testing.T) {
 // workload — the paper's critique of its migration volume ("the
 // algorithm might migrate a large number of threads").
 func TestMigrationVolume(t *testing.T) {
-	m, g := newDWRR(2, 6)
+	m, _ := newDWRR(2, 6)
 	for i := 0; i < 3; i++ {
 		tk := m.NewTask("t", &task.Seq{Actions: []task.Action{task.Compute(3e9)}})
 		m.Start(tk)
@@ -140,8 +140,8 @@ func TestMigrationVolume(t *testing.T) {
 	// 3 threads × 3 s at 2/3 speed ≈ 4.5 s; one steal per round (100 ms)
 	// gives dozens of migrations — far above speedbal's one per two
 	// 100 ms intervals.
-	if g.Steals() < 20 {
-		t.Errorf("steals = %d, want ≥ 20 (DWRR migrates aggressively)", g.Steals())
+	if n := m.Stats.Migrations["dwrr"]; n < 20 {
+		t.Errorf("steals = %d, want ≥ 20 (DWRR migrates aggressively)", n)
 	}
 }
 

@@ -146,14 +146,16 @@ func TestRepeatDeterminism(t *testing.T) {
 	ctx := &Context{Reps: 3, Scale: 1, Seed: 7}
 	collect := func() []int64 {
 		var out []int64
-		Repeat(ctx, 42, RunOpts{
+		r := NewRunner(ctx)
+		r.Repeat(42, RunOpts{
 			Topo:     func() *topo.Topology { return topo.SMP(2) },
 			Strategy: StratLoad,
 			Spec: spmd.Spec{
 				Name: "t", Threads: 3, Iterations: 5, WorkPerIteration: 1e6,
 				Model: spmd.UPC(), WorkJitter: 0.2,
 			},
-		}, func(rep int, r RunResult) { out = append(out, int64(r.Elapsed)) })
+		}, func(rep int, res RunResult) { out = append(out, int64(res.Elapsed)) })
+		r.Wait()
 		return out
 	}
 	a, b := collect(), collect()

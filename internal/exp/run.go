@@ -106,9 +106,8 @@ type RunResult struct {
 func Run(o RunOpts) RunResult {
 	tp := o.Topo()
 	cfg := sim.Config{Seed: o.Seed, Tracer: o.Tracer, Metrics: o.Metrics}
-	var dwrrG *dwrr.Global
 	if o.Strategy == StratDWRR {
-		cfg.NewScheduler, dwrrG = dwrr.NewFactory()
+		cfg.NewScheduler, _ = dwrr.NewFactory()
 	} else {
 		cfg.NewScheduler = cfs.Factory()
 	}
@@ -184,9 +183,6 @@ func Run(o RunOpts) RunResult {
 		res.PredictHits = sb.PredictHits
 		res.PredictMisses = sb.PredictMisses
 	}
-	if dwrrG != nil {
-		res.Stats.Migrations["dwrr"] = dwrrG.Steals()
-	}
 	if !app.Done() {
 		// Surface truncation loudly: experiments must size Limit.
 		res.Elapsed = limit
@@ -214,15 +210,6 @@ func recordMachine(m *sim.Machine, reg *metrics.Registry) {
 	reg.Counter("sim.context_switches").Add(int64(m.Stats.ContextSwitches))
 	reg.Counter("sim.wakeups").Add(int64(m.Stats.Wakeups))
 	reg.Counter("sim.events").Add(int64(m.Stats.Events))
-}
-
-// Repeat runs the configuration Reps times with derived seeds and calls
-// fn with each result, in repetition order. The repetitions execute on
-// the parallel Runner; fn is invoked on the calling goroutine.
-func Repeat(ctx *Context, config int, o RunOpts, fn func(rep int, r RunResult)) {
-	r := NewRunner(ctx)
-	r.Repeat(config, o, fn)
-	r.Wait()
 }
 
 // ScaleSpec shrinks a spec's iteration count by the context scale,

@@ -119,8 +119,8 @@ func (r *Runner) submit(label string, o RunOpts, run func(RunOpts) RunResult, fn
 }
 
 // Repeat queues Context.Reps repetitions of the configuration with
-// per-(config, rep) seeds derived by seedFor, exactly as the serial
-// Repeat does.
+// per-(config, rep) seeds derived by seedFor; fn receives each result,
+// in repetition order, on the goroutine that calls Wait.
 func (r *Runner) Repeat(config int, o RunOpts, fn func(rep int, res RunResult)) {
 	for rep := 0; rep < r.ctx.Reps; rep++ {
 		rep := rep

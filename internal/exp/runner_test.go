@@ -113,7 +113,9 @@ func TestRunnerFailFast(t *testing.T) {
 
 	// Default: truncation is tabulated (Speedup 0), not fatal.
 	var res RunResult
-	Repeat(&Context{Reps: 1, Seed: 1}, 0, overrun, func(_ int, r RunResult) { res = r })
+	plain := NewRunner(&Context{Reps: 1, Seed: 1})
+	plain.Repeat(0, overrun, func(_ int, r RunResult) { res = r })
+	plain.Wait()
 	if !res.Truncated || res.Speedup != 0 || res.Elapsed != time.Millisecond {
 		t.Errorf("truncated run not surfaced: %+v", res)
 	}

@@ -14,12 +14,12 @@
 //     (frequency drift, migrating noise) instead of averaging them
 //     away. One instance per core and per managed thread, fed from the
 //     balancer's existing sample pass.
-//   - Dist + SlowestLowerBounds/FastestLowerBounds: order-statistic
-//     probability bounds over a set of normal approximations. The
-//     midpoint-split trick (one log-CDF/log-CCDF evaluation per
-//     distribution, then an all-minus-own exchange per candidate) gives
-//     each core a lower bound on the probability that it is the
-//     extreme, at O(n) per pass.
+//   - Dist + SlowestLowerBounds: order-statistic probability bounds
+//     over a set of normal approximations. The midpoint-split trick
+//     (one log-CDF/log-CCDF evaluation per distribution, then an
+//     all-minus-own exchange per candidate) gives each core a lower
+//     bound on the probability that it is the slowest, at O(n) per
+//     pass.
 //   - Tracker: the composition speedbal feeds — realized samples in,
 //     horizon-extrapolated speeds and slowest-core bounds out.
 //
@@ -177,23 +177,13 @@ func (d Dist) CDF(x float64) float64 {
 // scratch across calls allocates nothing. With fewer than two
 // distributions the bound is 1 for the lone entry (it is trivially the
 // slowest) or empty.
+//
+// The bound uses the midpoint-split trick: one log-CDF and log-CCDF per
+// distribution, a shared sum, and an exchange of the candidate's own
+// term. Zero probabilities (−inf logs) are counted out of the shared
+// sum so a certain distribution does not poison every other bound with
+// NaNs.
 func SlowestLowerBounds(ds []Dist, out, scratch []float64) []float64 {
-	return extremeLowerBounds(ds, out, scratch, false)
-}
-
-// FastestLowerBounds is the mirror: a lower bound on the probability
-// that X_i is the maximum — X_i above the midpoint, every other below.
-// out and scratch are as for SlowestLowerBounds.
-func FastestLowerBounds(ds []Dist, out, scratch []float64) []float64 {
-	return extremeLowerBounds(ds, out, scratch, true)
-}
-
-// extremeLowerBounds implements both bounds with the midpoint-split
-// trick: one log-CDF and log-CCDF per distribution, a shared sum, and
-// an exchange of the candidate's own term. Zero probabilities (−inf
-// logs) are counted out of the shared sum so a certain distribution
-// does not poison every other bound with NaNs.
-func extremeLowerBounds(ds []Dist, out, scratch []float64, fastest bool) []float64 {
 	n := len(ds)
 	if n == 0 {
 		return out[:0]
@@ -208,19 +198,13 @@ func extremeLowerBounds(ds []Dist, out, scratch []float64, fastest bool) []float
 		c += d.Mean
 	}
 	c /= float64(n)
-	// own[i] = log P(X_i on the candidate side of c),
-	// rest[i] = log P(X_i on the other side).
+	// own[i] = log P(X_i below c), rest[i] = log P(X_i above c).
 	own, rest := scratch[:n], scratch[n:2*n]
 	total := 0.0 // sum of finite rest terms
 	zeros := 0   // count of rest[i] == -inf
 	for i, d := range ds {
 		p := d.CDF(c)
-		below, above := math.Log(p), math.Log(1-p)
-		if fastest {
-			own[i], rest[i] = above, below
-		} else {
-			own[i], rest[i] = below, above
-		}
+		own[i], rest[i] = math.Log(p), math.Log(1-p)
 		if math.IsInf(rest[i], -1) {
 			zeros++
 		} else {
@@ -326,12 +310,6 @@ func (tr *Tracker) Predicted(j int, horizon time.Duration) float64 {
 // speed estimator — the spread SlowestLowerBounds pairs with an
 // effective (blended) mean the caller computed itself.
 func (tr *Tracker) CoreStd(j int) float64 { return tr.cores[j].est.StdDev() }
-
-// CoreDist returns core index j's next-interval speed distribution at
-// the horizon: predicted mean, decayed spread.
-func (tr *Tracker) CoreDist(j int, horizon time.Duration) Dist {
-	return Dist{Mean: tr.Predicted(j, horizon), Std: tr.cores[j].est.StdDev()}
-}
 
 // ObserveThread feeds one managed thread's realized speed sample.
 func (tr *Tracker) ObserveThread(id int, s float64) {

@@ -564,12 +564,12 @@ func (s *Server) handleStatus(w http.ResponseWriter, req *http.Request) {
 
 // handleCancel is DELETE /v1/runs/{id}: request cancellation. Queued
 // runs cancel before starting; running ones abort between grid cells
-// (exp.Context.Interrupt). Terminal runs are unaffected.
+// (exp.Context.Interrupt). Terminal runs are unaffected, including
+// those whose record aged out and that status now answers from the
+// cache.
 func (s *Server) handleCancel(w http.ResponseWriter, req *http.Request) {
 	s.met.inc("serve.requests.cancel")
-	s.mu.Lock()
-	r, ok := s.runs[req.PathValue("id")]
-	s.mu.Unlock()
+	r, ok := s.lookup(req.PathValue("id"))
 	if !ok {
 		s.writeError(w, http.StatusNotFound, "unknown run %q", req.PathValue("id"))
 		return

@@ -250,6 +250,43 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	}
 }
 
+// A run whose record aged out of the run table is still terminal:
+// status answers it from the cache as done, and cancel must answer the
+// 409 docs/api.md promises for a terminal run, not a 404.
+func TestCancelAgedOutRunConflicts(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 4, Version: "test"})
+	s.executor = stubExecutor(nil, nil)
+	defer s.Drain()
+
+	// Seeds ≥ 200 finish at once; maxRuns+8 of them age the first out.
+	var first string
+	for i := 0; i < maxRuns+8; i++ {
+		spec, _ := Spec{Experiment: "fig1", Seed: uint64(200 + i)}.Canonicalize()
+		r, _, err := s.submit(spec)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		<-r.done
+		if i == 0 {
+			first = r.id
+		}
+	}
+	s.mu.Lock()
+	_, kept := s.runs[first]
+	s.mu.Unlock()
+	if kept {
+		t.Fatalf("run %s still has a record after %d later runs", first, maxRuns+7)
+	}
+	w := doReq(t, s.Handler(), "GET", "/v1/runs/"+first, "")
+	var doc StatusDoc
+	if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil || w.Code != http.StatusOK || doc.State != StateDone {
+		t.Fatalf("GET aged-out run: %d %s", w.Code, w.Body.String())
+	}
+	if w := doReq(t, s.Handler(), "DELETE", "/v1/runs/"+first, ""); w.Code != http.StatusConflict {
+		t.Errorf("DELETE aged-out terminal run: %d %s, want 409", w.Code, w.Body.String())
+	}
+}
+
 // Batch submission admits per item: valid specs queue or join, invalid
 // ones report errors, and overflow is rejected item-by-item.
 func TestBatchSubmission(t *testing.T) {

@@ -493,8 +493,8 @@ func (m *Machine) NewTimer(fn func(now int64)) *Timer {
 // NewCoreTimer creates an unscheduled reusable timer bound to the core's
 // shard queue. The callback must confine itself to that core's shard
 // (its run queue, its tasks, its SMT and memory-domain mates); in
-// exchange the timer does not bound conservative lookahead. Per-core
-// scheduler ticks and per-core balancer sampling belong here.
+// exchange the timer does not bound conservative lookahead. The ticks
+// of a Linux balancer whose domain lies inside one shard belong here.
 func (m *Machine) NewCoreTimer(core int, fn func(now int64)) *Timer {
 	return &Timer{m: m, ev: eventq.NewEvent(fn), shard: int(m.shardOf[core])}
 }

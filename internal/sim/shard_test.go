@@ -134,8 +134,7 @@ func cfsCrossSocket(shards int) (string, int) {
 // steals.
 func dwrrCrossSocket(shards int) (string, int) {
 	cfg := shardCfg(17, shards, false)
-	var g *dwrr.Global
-	cfg.NewScheduler, g = dwrr.NewFactory()
+	cfg.NewScheduler, _ = dwrr.NewFactory()
 	m := sim.New(topo.Tigerton(), cfg)
 	log := sim.LogTasks(m)
 	app := spmd.Build(m, spmd.Spec{
@@ -146,7 +145,7 @@ func dwrrCrossSocket(shards int) (string, int) {
 	})
 	app.Start()
 	m.Run(int64(600 * time.Millisecond))
-	return fingerprint(m, log), g.Steals()
+	return fingerprint(m, log), m.Stats.Migrations["dwrr"]
 }
 
 // uleHotplugCrossSocket runs an oversubscribed app under the ULE

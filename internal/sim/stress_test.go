@@ -1,7 +1,6 @@
 package sim_test
 
 import (
-	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -15,6 +14,7 @@ import (
 	"repro/internal/spmd"
 	"repro/internal/task"
 	"repro/internal/topo"
+	"repro/internal/trace"
 	"repro/internal/ule"
 )
 
@@ -135,7 +135,8 @@ func TestPropertyDeterminismAcrossBalancers(t *testing.T) {
 // one OS-balanced), a make -j, a hog and an interactive task coexist;
 // everything completes and the speed balancer touches only its app.
 func TestMixedWorkloadIsolation(t *testing.T) {
-	m := sim.New(topo.Tigerton(), sim.Config{Seed: 99, NewScheduler: cfs.Factory()})
+	var pulls pullLog
+	m := sim.New(topo.Tigerton(), sim.Config{Seed: 99, NewScheduler: cfs.Factory(), Tracer: &pulls})
 	m.AddActor(linuxlb.Default())
 	competing.CPUHog(m, 3)
 	m.AddActor(&competing.MakeJ{Width: 3, Duration: 2 * time.Second})
@@ -150,8 +151,6 @@ func TestMixedWorkloadIsolation(t *testing.T) {
 		Model: spmd.UPCSleep(),
 	})
 	sb := speedbal.Default()
-	moved := map[string]bool{}
-	sb.OnMigrate = func(tk *task.Task, _, _ int, _ int64) { moved[tk.Group] = true }
 	sb.Launch(m, managed)
 	other.Start()
 
@@ -159,15 +158,23 @@ func TestMixedWorkloadIsolation(t *testing.T) {
 	if !managed.Done() || !other.Done() {
 		t.Fatalf("apps done: managed=%v other=%v", managed.Done(), other.Done())
 	}
-	groups := make([]string, 0, len(moved))
-	for g := range moved {
-		groups = append(groups, g)
+	own := map[int]bool{}
+	for _, tk := range managed.Tasks {
+		own[tk.ID] = true
 	}
-	sort.Strings(groups)
-	for _, g := range groups {
-		if g != "managed" {
-			t.Errorf("speed balancer moved a %q task", g)
+	for _, e := range pulls {
+		if !own[e.Task] {
+			t.Errorf("speed balancer moved %q, not a managed task", e.TaskName)
 		}
+	}
+}
+
+// pullLog is a tracer that keeps the speed balancer's pull decisions.
+type pullLog []trace.Event
+
+func (l *pullLog) Emit(e trace.Event) {
+	if e.Kind == trace.KindBalancePull || e.Kind == trace.KindPredictMigrate {
+		*l = append(*l, e)
 	}
 }
 

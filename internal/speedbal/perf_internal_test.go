@@ -1,5 +1,5 @@
 // White-box tests for the balancer's incremental bookkeeping: the
-// per-core membership lists, the speed-accounting purge on task exit,
+// per-core membership lists, the thread records' purge on task exit,
 // and the rescan wake loop's termination. They live in the package so
 // they can compare the incremental state against a from-scratch scan.
 package speedbal
@@ -17,25 +17,52 @@ import (
 	"repro/internal/topo"
 )
 
-// checkMembers verifies members[j] holds exactly the live managed
-// threads with CoreID == cores[j], in rank (managed) order — the
-// invariant that lets sample and pickVictim skip the full-managed scan.
-func checkMembers(t *testing.T, b *Balancer) {
+// checkMembers verifies that the balancer holds a record for exactly
+// the live threads of managed (given in adoption order), with ranks in
+// that order, and that each core's member list holds exactly the live
+// managed threads with CoreID == that core, in adoption order — the
+// invariant that lets sample and pickVictim skip a scan of every
+// managed thread.
+func checkMembers(t *testing.T, b *Balancer, managed []*task.Task) {
 	t.Helper()
-	for j, core := range b.cores {
+	live, prev := 0, -1
+	for _, tk := range managed {
+		th, ok := b.threads[tk]
+		if tk.State == task.Done {
+			if ok {
+				t.Fatalf("%s exited but keeps a record", tk.Name)
+			}
+			continue
+		}
+		if !ok || th.t != tk {
+			t.Fatalf("live managed thread %s has no record", tk.Name)
+		}
+		if th.rank <= prev {
+			t.Fatalf("%s has rank %d after rank %d", tk.Name, th.rank, prev)
+		}
+		prev = th.rank
+		live++
+	}
+	if len(b.threads) != live {
+		t.Fatalf("%d thread records, want %d live managed threads", len(b.threads), live)
+	}
+	for _, cs := range b.cores {
 		var want []*task.Task
-		for _, tk := range b.managed {
-			if tk.State != task.Done && tk.CoreID == core {
+		for _, tk := range managed {
+			if tk.State != task.Done && tk.CoreID == cs.id {
 				want = append(want, tk)
 			}
 		}
-		got := b.members[j]
+		got := make([]*task.Task, len(cs.members))
+		for i, th := range cs.members {
+			got[i] = th.t
+		}
 		if len(got) != len(want) {
-			t.Fatalf("core %d: members %v, want %v", core, names(got), names(want))
+			t.Fatalf("core %d: members %v, want %v", cs.id, names(got), names(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("core %d: members %v, want %v (order)", core, names(got), names(want))
+				t.Fatalf("core %d: members %v, want %v (order)", cs.id, names(got), names(want))
 			}
 		}
 	}
@@ -86,19 +113,20 @@ func TestMembershipConsistencyUnderChurn(t *testing.T) {
 
 	for step := 0; step < 200; step++ {
 		m.RunFor(50 * time.Millisecond)
-		checkMembers(t, b)
+		checkMembers(t, b, tasks)
 	}
 	if mig := m.Stats.TotalMigrations(); mig < 20 {
 		t.Errorf("only %d migrations — churn too light to exercise the lists", mig)
 	}
-	if b.liveManaged != 0 {
-		t.Errorf("liveManaged = %d after all threads finished", b.liveManaged)
+	if len(b.threads) != 0 {
+		t.Errorf("%d thread records after all threads finished", len(b.threads))
 	}
 }
 
-// The speed-accounting maps are purged as threads exit, and the rescan
-// wake loop stops once the machine drains: after a churny dynamic-group
-// run both maps are empty and no event remains queued.
+// The balancer forgets threads as they exit, and the rescan wake loop
+// stops once the machine drains: after a churny dynamic-group run it
+// holds no thread record, every member list is empty and no event
+// remains queued.
 func TestAccountingPurgeAndDrain(t *testing.T) {
 	m := sim.New(topo.SMP(2), sim.Config{Seed: 37, NewScheduler: cfs.Factory()})
 	cfg := DefaultConfig()
@@ -133,20 +161,20 @@ func TestAccountingPurgeAndDrain(t *testing.T) {
 	if n := m.PendingEvents(); n != 0 {
 		t.Errorf("%d events still queued after the machine drained", n)
 	}
-	if len(b.lastExec) != 0 {
-		t.Errorf("lastExec holds %d entries after all threads exited", len(b.lastExec))
+	if len(b.threads) != 0 {
+		t.Errorf("balancer holds %d thread records after all threads exited", len(b.threads))
 	}
-	if len(b.lastWork) != 0 {
-		t.Errorf("lastWork holds %d entries after all threads exited", len(b.lastWork))
-	}
-	if b.liveManaged != 0 {
-		t.Errorf("liveManaged = %d, want 0", b.liveManaged)
+	for _, cs := range b.cores {
+		if len(cs.members) != 0 {
+			t.Errorf("core %d lists %d members after all threads exited", cs.id, len(cs.members))
+		}
 	}
 }
 
 // A zero-length sample window must not consume the window: the next
 // wake has to measure across the whole elapsed interval rather than
-// publish a stale speed. sampled[j] may only advance when wall > 0.
+// publish a stale speed. A core's sample time may only advance when
+// wall > 0.
 func TestZeroWallSampleKeepsWindowOpen(t *testing.T) {
 	m := sim.New(topo.SMP(2), sim.Config{Seed: 41, NewScheduler: cfs.Factory()})
 	tk := m.NewTask("app.0", &task.Seq{Actions: []task.Action{task.Compute(1e9)}})
@@ -156,17 +184,18 @@ func TestZeroWallSampleKeepsWindowOpen(t *testing.T) {
 	m.StartOn(tk, 0)
 	m.RunFor(250 * time.Millisecond)
 
-	before := b.sampled[0]
+	cs := &b.cores[0]
+	before := cs.sampled
 	if before == 0 {
 		t.Fatal("core 0 never sampled during warmup")
 	}
 	b.sample(0, before) // wall == 0
-	if b.sampled[0] != before {
-		t.Errorf("zero-wall sample advanced sampled[0] from %d to %d", before, b.sampled[0])
+	if cs.sampled != before {
+		t.Errorf("zero-wall sample advanced core 0's sample time from %d to %d", before, cs.sampled)
 	}
 	speed := b.speeds[0]
 	b.sample(0, before-1) // wall < 0 (defensive)
-	if b.sampled[0] != before || b.speeds[0] != speed {
+	if cs.sampled != before || b.speeds[0] != speed {
 		t.Error("negative-wall sample mutated balancer state")
 	}
 }

@@ -165,55 +165,33 @@ func DefaultConfig() Config {
 
 // Balancer is the speedbalancer process managing one application.
 type Balancer struct {
-	cfg Config
-	m   *sim.Machine
-	rng *xrand.RNG
+	cfg     Config
+	m       *sim.Machine // nil until Start
+	rng     *xrand.RNG
+	stopped bool
 
-	// managed is the set of application threads, fixed at Manage time
-	// (the /proc PID scan); exited threads are skipped dynamically.
-	managed []*task.Task
-	// cores is the managed core set (the user-requested cores).
-	cores []int
+	// threads holds one record per live managed thread (the /proc PID
+	// scan plus rescan adoptions); a thread's record goes when it exits,
+	// so an open run holds records only for its live jobs.
+	threads map[*task.Task]*thread
+	// ranks is the next adoption rank to hand out.
+	ranks int
+	// cores is the managed core set (the user-requested cores), one
+	// record per core in ID order; a core's position in it is the index
+	// j every per-core slice below shares. pos maps a core ID to its
+	// position, −1 for unmanaged cores.
+	cores []core
+	pos   []int
 
-	// speeds[j] is the latest core-speed sample for managed core index
-	// j — the only state shared between balancer threads (s_global is
-	// derived from it).
+	// speeds[j] is the latest core-speed sample for managed core j — the
+	// only state shared between balancer threads (s_global is derived
+	// from it).
 	speeds []float64
-	// sampled[j] is when core j's balancer last sampled.
-	sampled []int64
-	// lastStolen[j] is core j's steal-time reading (Core.StolenWall, the
-	// /proc/stat steal+irq account) at its last sample, so the idle-core
-	// speed estimate can discount kernel noise a newcomer would suffer.
-	lastStolen []time.Duration
-	// lastMigration[j] is when core j was last involved in a migration
-	// (as source or destination).
-	lastMigration []int64
-	// lastExec[t] is each thread's exec-time reading at its core's last
-	// sample; lastWork[t] the work-counter reading (MeasureWorkRate).
-	// Entries are purged when the thread exits so churny workloads
-	// (rescan groups, make -j competitors) do not grow them unboundedly.
-	lastExec map[*task.Task]time.Duration
-	lastWork map[*task.Task]float64
-	// managedSet maps each managed thread to its rank (index in managed);
-	// the rank orders the per-core membership lists.
-	managedSet map[*task.Task]int
-	// members[j] holds the live managed threads currently on managed core
-	// index j, in rank order — the same threads, in the same order, that a
-	// scan of managed filtered by CoreID would yield. Maintained through
-	// the machine's core-change and task-done hooks so sample/balance do
-	// O(threads-on-core) work instead of O(all threads).
-	members [][]*task.Task
-	// coreIdx maps a managed core's ID to its index j in cores.
-	coreIdx map[int]int
-	// liveManaged counts managed threads not yet Done (O(1) allDone).
-	liveManaged int
 	// scanned is the rescan cursor: every task with a lower ID has been
 	// looked at. Machine.Live lists tasks in creation (ID) order and a
 	// task's Group is fixed at creation, so each rescan only needs to
 	// look at tasks created since the previous one.
 	scanned int
-	// wakeTimers[j] is core index j's reusable balancer-wake timer.
-	wakeTimers []*sim.Timer
 
 	// tracker holds the predictive estimators (nil unless
 	// Predict.Enabled); predActive caches Predict.Active() — the gate
@@ -223,33 +201,21 @@ type Balancer struct {
 	// prevPlacer is the fork-placement policy the predictive placer
 	// wraps; non-group tasks delegate to it unchanged.
 	prevPlacer sim.Placer
-	// effBuf, distBuf, idxBuf, boundsBuf, boundsScratch, probOf and
-	// predSlowest are the per-balance-pass scratch buffers of the
-	// predictive path, preallocated so prediction adds no steady-state
-	// allocation.
-	// probOf[k] is core index k's slowest-probability bound this pass
-	// (−1 when unsampled or cold); predSlowest[j] is the core index
-	// balancer thread j predicted slowest at its previous pass (−1
-	// none), resolved against the realized slowest for the hit/miss
-	// audit.
+	// effBuf, distBuf, idxBuf, boundsBuf, boundsScratch and probOf are
+	// the per-balance-pass scratch buffers of the predictive path,
+	// preallocated so prediction adds no steady-state allocation.
+	// probOf[k] is core k's slowest-probability bound this pass (−1 when
+	// unsampled or cold).
 	effBuf        []float64
 	distBuf       []predict.Dist
 	idxBuf        []int
 	boundsBuf     []float64
 	boundsScratch []float64
 	probOf        []float64
-	predSlowest   []int
 	// cands and victims are balance's and pickVictim's candidate lists,
-	// kept across passes. One pair per balancer is race-free: its wakes
-	// run inside a parallel window only when all its cores share one
-	// shard.
+	// kept across passes.
 	cands   []pullCand
 	victims []*task.Task
-	// occAtSample[j] is how many runnable tasks shared core j when its
-	// speed was last sampled (≥1); the placer multiplies it back out to
-	// recover the core's capacity from the per-thread speed, then
-	// divides by the live occupancy.
-	occAtSample []int
 
 	// Migrations counts pulls performed, for reporting.
 	Migrations int
@@ -263,9 +229,47 @@ type Balancer struct {
 	// PredictHits and PredictMisses audit the slowest-core predictions
 	// against the next pass's realized speeds.
 	PredictHits, PredictMisses int
-	// OnMigrate, if set, observes every pull (testing/tracing).
-	OnMigrate func(t *task.Task, from, to int, now int64)
-	stopped   bool
+}
+
+// thread is the balancer's record of one live managed thread.
+type thread struct {
+	t *task.Task
+	// rank is the adoption order; it orders the per-core member lists.
+	rank int
+	// lastExec is the thread's exec-time reading at its core's last
+	// sample; lastWork the work-counter reading (MeasureWorkRate).
+	lastExec time.Duration
+	lastWork float64
+}
+
+// core is one managed core's balancer-thread state.
+type core struct {
+	id int
+	// sampled is when the core's balancer thread last sampled.
+	sampled int64
+	// lastStolen is the core's steal-time reading (Core.StolenWall, the
+	// /proc/stat steal+irq account) at its last sample, so the idle-core
+	// speed estimate can discount kernel noise a newcomer would suffer.
+	lastStolen time.Duration
+	// lastMigration is when the core was last involved in a migration
+	// (as source or destination).
+	lastMigration int64
+	// members holds the live managed threads currently on the core, in
+	// rank order. Maintained through the machine's core-change and
+	// task-done hooks so sample and balance do O(threads-on-core) work
+	// instead of O(all threads).
+	members []*thread
+	// wake is the core's reusable balancer-wake timer.
+	wake *sim.Timer
+	// occAtSample is how many runnable tasks shared the core when its
+	// speed was last sampled (≥1); the placer multiplies it back out to
+	// recover the core's capacity from the per-thread speed, then
+	// divides by the live occupancy.
+	occAtSample int
+	// predSlowest is the core position this balancer thread predicted
+	// slowest at its previous pass (−1 none), resolved against the
+	// realized slowest for the hit/miss audit.
+	predSlowest int
 }
 
 // New creates a balancer with cfg; a zero Interval or Threshold takes
@@ -278,12 +282,7 @@ func New(cfg Config) *Balancer {
 	if cfg.Threshold == 0 {
 		cfg.Threshold = d.Threshold
 	}
-	return &Balancer{
-		cfg:        cfg,
-		lastExec:   make(map[*task.Task]time.Duration),
-		lastWork:   make(map[*task.Task]float64),
-		managedSet: make(map[*task.Task]int),
-	}
+	return &Balancer{cfg: cfg, threads: make(map[*task.Task]*thread)}
 }
 
 // Default creates a balancer with the paper's parameters.
@@ -302,39 +301,54 @@ func (b *Balancer) Launch(m *sim.Machine, app *spmd.App) {
 // Manage registers the threads and the managed core set without starting
 // anything; use with AddActor for already-running tasks. Calling it again
 // mid-run admits a new batch of threads: the managed core set stays fixed
-// at what Start saw (the per-core state arrays are sized then), and a
-// wake loop that drained after the previous batch finished is re-armed.
+// at what Start saw (the per-core records are built then), and a wake
+// loop that drained after the previous batch finished is re-armed.
 func (b *Balancer) Manage(m *sim.Machine, threads []*task.Task, cores cpuset.Set) {
-	if cores.Empty() {
-		cores = m.Topo.AllCores()
+	if b.m == nil {
+		if cores.Empty() {
+			cores = m.Topo.AllCores()
+		}
+		b.setCores(len(m.Cores), cores)
 	}
 	for _, t := range threads {
-		if _, ok := b.managedSet[t]; !ok {
+		if _, ok := b.threads[t]; !ok {
 			b.addManaged(t)
 		}
 	}
-	if b.wakeTimers == nil {
-		b.cores = cores.Cores()
-	} else if !b.stopped {
+	if b.m != nil && !b.stopped {
 		b.ensureTimers(b.m.Now())
 	}
 }
 
-// addManaged appends a thread to the managed set at the next rank and,
-// once the balancer has started, threads it into the membership lists.
-func (b *Balancer) addManaged(t *task.Task) {
-	b.managedSet[t] = len(b.managed)
-	b.managed = append(b.managed, t)
-	if b.members == nil {
-		return // Start will build the lists from managed
+// setCores builds the per-core records of the managed core set on a
+// machine of n cores.
+func (b *Balancer) setCores(n int, set cpuset.Set) {
+	b.cores = make([]core, 0, set.Count())
+	b.pos = make([]int, n)
+	for i := range b.pos {
+		b.pos[i] = -1
 	}
+	for _, id := range set.Cores() {
+		b.pos[id] = len(b.cores)
+		b.cores = append(b.cores, core{id: id, predSlowest: -1})
+	}
+}
+
+// addManaged records a live thread at the next rank and, once the
+// balancer has started, threads it into its core's member list.
+func (b *Balancer) addManaged(t *task.Task) {
 	if t.State == task.Done {
 		return
 	}
-	b.liveManaged++
-	if j, ok := b.coreIdx[t.CoreID]; ok {
+	th := &thread{t: t, rank: b.ranks}
+	b.ranks++
+	b.threads[t] = th
+	if b.m == nil || t.CoreID < 0 {
+		return // Start, or the thread's first placement, files it
+	}
+	if j := b.pos[t.CoreID]; j >= 0 {
 		// The newest rank sorts last, so this is an append.
-		b.members[j] = append(b.members[j], t)
+		b.cores[j].members = append(b.cores[j].members, th)
 	}
 }
 
@@ -344,35 +358,34 @@ func (b *Balancer) Start(m *sim.Machine) {
 	b.rng = m.RNG()
 	if len(b.cores) == 0 {
 		// Rescan-only usage (no explicit Manage): watch every core.
-		b.cores = m.Topo.AllCores().Cores()
+		b.setCores(len(m.Cores), m.Topo.AllCores())
 	}
 	n := len(b.cores)
 	b.speeds = make([]float64, n)
-	b.sampled = make([]int64, n)
-	b.lastStolen = make([]time.Duration, n)
-	b.lastMigration = make([]int64, n)
 	for j := range b.speeds {
 		b.speeds[j] = -1 // unsampled
 	}
-	b.coreIdx = make(map[int]int, n)
-	for j, c := range b.cores {
-		b.coreIdx[c] = j
-	}
-	b.members = make([][]*task.Task, n)
-	for _, t := range b.managed {
+	// File the threads managed before Start in rank order; those that
+	// exited meanwhile are forgotten.
+	ths := make([]*thread, 0, len(b.threads))
+	for t, th := range b.threads {
 		if t.State == task.Done {
+			delete(b.threads, t)
 			continue
 		}
-		b.liveManaged++
-		if j, ok := b.coreIdx[t.CoreID]; ok {
-			b.members[j] = append(b.members[j], t)
+		ths = append(ths, th)
+	}
+	slices.SortFunc(ths, func(x, y *thread) int { return cmp.Compare(x.rank, y.rank) })
+	for _, th := range ths {
+		if id := th.t.CoreID; id >= 0 && b.pos[id] >= 0 {
+			cs := &b.cores[b.pos[id]]
+			cs.members = append(cs.members, th)
 		}
 	}
 	if b.cfg.Predict.Enabled {
 		b.tracker = predict.NewTracker(n, b.cfg.Interval)
 		b.predActive = b.cfg.Predict.Active()
 		b.effBuf = make([]float64, n)
-		b.occAtSample = make([]int, n)
 	}
 	if b.predActive {
 		b.distBuf = make([]predict.Dist, 0, n)
@@ -380,10 +393,6 @@ func (b *Balancer) Start(m *sim.Machine) {
 		b.boundsBuf = make([]float64, n)
 		b.boundsScratch = make([]float64, 2*n)
 		b.probOf = make([]float64, n)
-		b.predSlowest = make([]int, n)
-		for j := range b.predSlowest {
-			b.predSlowest[j] = -1
-		}
 		if b.cfg.RescanGroup != "" {
 			// Wake-time placement: admitted group threads start on the
 			// predicted-fastest core instead of wherever the wrapped
@@ -396,31 +405,12 @@ func (b *Balancer) Start(m *sim.Machine) {
 	m.OnTaskDone(b.noteDone)
 	m.OnTaskStart(b.noteStart)
 	m.OnOnlineChange(b.noteOnline)
-	// The balancer threads may ride their cores' shard queues — and so
-	// run inside parallel windows — only when every core they can read
-	// or pull from (the whole managed set) lives in one shard. A rescan
-	// group additionally scans machine-global task state, which pins the
-	// timers to the control queue.
-	shardLocal := b.cfg.RescanGroup == ""
-	if shardLocal {
-		shard := m.ShardOf(b.cores[0])
-		for _, c := range b.cores[1:] {
-			if m.ShardOf(c) != shard {
-				shardLocal = false
-				break
-			}
-		}
-	}
-	b.wakeTimers = make([]*sim.Timer, n)
+	// The wake timers sit on the control queue: a balancer thread reads
+	// every managed core's speed and may pull from any of them.
 	for j := range b.cores {
-		j := j
-		fn := func(now int64) { b.wake(j, now) }
-		if shardLocal {
-			b.wakeTimers[j] = m.NewCoreTimer(b.cores[j], fn)
-		} else {
-			b.wakeTimers[j] = m.NewTimer(fn)
-		}
-		b.wakeTimers[j].Schedule(m.Now() + int64(b.cfg.Interval) + b.jitter())
+		cs := &b.cores[j]
+		cs.wake = m.NewTimer(func(now int64) { b.wake(j, now) })
+		cs.wake.Schedule(m.Now() + int64(b.cfg.Interval) + b.jitter())
 	}
 }
 
@@ -428,15 +418,15 @@ func (b *Balancer) Start(m *sim.Machine) {
 // machine invokes it on first placement and on every migration,
 // whichever component moved the task.
 func (b *Balancer) noteMove(t *task.Task, from, to int) {
-	rank, ok := b.managedSet[t]
+	th, ok := b.threads[t]
 	if !ok || t.State == task.Done {
 		return
 	}
-	if j, ok := b.coreIdx[from]; ok {
-		b.removeMember(j, t)
+	if from >= 0 && b.pos[from] >= 0 {
+		b.removeMember(b.pos[from], th)
 	}
-	if j, ok := b.coreIdx[to]; ok {
-		b.insertMember(j, t, rank)
+	if j := b.pos[to]; j >= 0 {
+		b.insertMember(j, th)
 	}
 	// The thread's lastExec/lastWork baselines are deliberately NOT
 	// rebased at the move. The pending Δexec since its last sample was
@@ -460,13 +450,18 @@ func (b *Balancer) noteMove(t *task.Task, from, to int) {
 // next woke. The sample window restarts at the transition so the first
 // post-replug sample does not average across the offline gap.
 func (b *Balancer) noteOnline(c *sim.Core, online bool) {
-	j, ok := b.coreIdx[c.ID()]
-	if !ok {
-		return
+	if j := b.pos[c.ID()]; j >= 0 {
+		b.resetSample(j, b.m.Now())
 	}
+}
+
+// resetSample drops core j's speed sample and restarts its sample
+// window at now.
+func (b *Balancer) resetSample(j int, now int64) {
+	cs := &b.cores[j]
 	b.speeds[j] = -1
-	b.sampled[j] = b.m.Now()
-	b.lastStolen[j] = c.StolenWall()
+	cs.sampled = now
+	cs.lastStolen = b.m.Cores[cs.id].StolenWall()
 	if b.tracker != nil {
 		// The old distribution is evidence about a machine that no
 		// longer exists on either side of the transition.
@@ -484,10 +479,10 @@ func (b *Balancer) noteOnline(c *sim.Core, online bool) {
 // events (never inside a parallel shard window), so the re-arm happens
 // at a globally synchronised instant on every engine configuration.
 func (b *Balancer) noteStart(t *task.Task) {
-	if b.stopped || b.wakeTimers == nil {
+	if b.stopped {
 		return
 	}
-	if _, ok := b.managedSet[t]; !ok {
+	if _, ok := b.threads[t]; !ok {
 		if b.cfg.RescanGroup == "" || t.Group != b.cfg.RescanGroup {
 			return
 		}
@@ -499,51 +494,50 @@ func (b *Balancer) noteStart(t *task.Task) {
 // from now. Pending timers are left alone, so a burst of admissions
 // neither postpones nor duplicates an already-scheduled pass.
 func (b *Balancer) ensureTimers(now int64) {
-	for j := range b.wakeTimers {
-		if !b.wakeTimers[j].Pending() {
-			b.wakeTimers[j].Schedule(now + int64(b.cfg.Interval) + b.jitter())
+	for j := range b.cores {
+		if w := b.cores[j].wake; !w.Pending() {
+			w.Schedule(now + int64(b.cfg.Interval) + b.jitter())
 		}
 	}
 }
 
-// noteDone drops an exited managed thread from its membership list and
-// purges its speed-accounting map entries, keeping both bounded across
-// churny workloads.
+// noteDone forgets an exited managed thread: its member-list entry, its
+// record and its predictor estimator, so churny workloads hold state
+// only for their live threads.
 func (b *Balancer) noteDone(t *task.Task) {
-	if _, ok := b.managedSet[t]; !ok {
+	th, ok := b.threads[t]
+	if !ok {
 		return
 	}
-	if j, ok := b.coreIdx[t.CoreID]; ok {
-		b.removeMember(j, t)
+	if t.CoreID >= 0 && b.pos[t.CoreID] >= 0 {
+		b.removeMember(b.pos[t.CoreID], th)
 	}
-	delete(b.lastExec, t)
-	delete(b.lastWork, t)
+	delete(b.threads, t)
 	if b.tracker != nil {
 		b.tracker.ForgetThread(t.ID)
 	}
-	b.liveManaged--
 }
 
-// insertMember inserts t into members[j] at its rank position, so the
-// list stays in managed order — the iteration order sample and
-// pickVictim depend on for bit-identical results.
-func (b *Balancer) insertMember(j int, t *task.Task, rank int) {
-	l := b.members[j]
-	i := sort.Search(len(l), func(i int) bool { return b.managedSet[l[i]] > rank })
+// insertMember inserts th into core j's member list at its rank
+// position, so the list stays in adoption order — the iteration order
+// sample and pickVictim depend on for bit-identical results.
+func (b *Balancer) insertMember(j int, th *thread) {
+	l := b.cores[j].members
+	i := sort.Search(len(l), func(i int) bool { return l[i].rank > th.rank })
 	l = append(l, nil)
 	copy(l[i+1:], l[i:])
-	l[i] = t
-	b.members[j] = l
+	l[i] = th
+	b.cores[j].members = l
 }
 
-// removeMember deletes t from members[j] if present.
-func (b *Balancer) removeMember(j int, t *task.Task) {
-	l := b.members[j]
+// removeMember deletes th from core j's member list if present.
+func (b *Balancer) removeMember(j int, th *thread) {
+	l := b.cores[j].members
 	for i, o := range l {
-		if o == t {
+		if o == th {
 			copy(l[i:], l[i+1:])
 			l[len(l)-1] = nil
-			b.members[j] = l[:len(l)-1]
+			b.cores[j].members = l[:len(l)-1]
 			return
 		}
 	}
@@ -567,7 +561,7 @@ func (b *Balancer) wake(j int, now int64) {
 	if j == 0 && b.cfg.RescanGroup != "" {
 		b.rescan(now)
 	}
-	if b.allDone() && b.cfg.RescanGroup == "" {
+	if len(b.threads) == 0 && b.cfg.RescanGroup == "" {
 		// Fixed set finished: let the wake loop drain. A later Manage
 		// batch or task admission restarts it through noteStart.
 		return
@@ -580,24 +574,18 @@ func (b *Balancer) wake(j int, now int64) {
 		// noteStart, so dying here is safe, not just frugal.
 		return
 	}
-	if !b.m.Cores[b.cores[j]].Online() {
+	if b.m.Cores[b.cores[j].id].Online() {
+		b.sample(j, now)
+		b.balance(j, now)
+	} else {
 		// The core was hot-unplugged: its threads were drained elsewhere,
 		// so there is nothing to measure and pulling work here would be a
 		// bug. Keep the thread alive (the real balancer thread would just
 		// find itself migrated off the dead core) and keep the sample
 		// window fresh for the replug.
-		b.speeds[j] = -1
-		b.sampled[j] = now
-		b.lastStolen[j] = b.m.Cores[b.cores[j]].StolenWall()
-		if b.tracker != nil {
-			b.tracker.ResetCore(j)
-		}
-		b.wakeTimers[j].Schedule(now + int64(b.cfg.Interval) + b.jitter())
-		return
+		b.resetSample(j, now)
 	}
-	b.sample(j, now)
-	b.balance(j, now)
-	b.wakeTimers[j].Schedule(now + int64(b.cfg.Interval) + b.jitter())
+	b.cores[j].wake.Schedule(now + int64(b.cfg.Interval) + b.jitter())
 }
 
 // rescan adopts newly appeared tasks of the managed group — the §5.2
@@ -622,7 +610,7 @@ func (b *Balancer) rescan(now int64) {
 		if t.Group != b.cfg.RescanGroup || t.State == task.Done {
 			continue
 		}
-		if _, ok := b.managedSet[t]; ok {
+		if _, ok := b.threads[t]; ok {
 			continue
 		}
 		b.addManaged(t)
@@ -653,14 +641,15 @@ func (b *Balancer) adoptionCore(t *task.Task) int {
 		return c
 	}
 	best, bestLoad := -1, 0
-	for _, core := range b.cores {
-		c := b.m.Cores[core]
-		if !c.Online() || !t.Affinity.Has(core) {
+	for j := range b.cores {
+		id := b.cores[j].id
+		c := b.m.Cores[id]
+		if !c.Online() || !t.Affinity.Has(id) {
 			continue
 		}
 		l := c.NrRunnable()
-		if best == -1 || l < bestLoad || (l == bestLoad && core == t.CoreID) {
-			best, bestLoad = core, l
+		if best == -1 || l < bestLoad || (l == bestLoad && id == t.CoreID) {
+			best, bestLoad = id, l
 		}
 	}
 	if best < 0 {
@@ -689,18 +678,19 @@ func (b *Balancer) predictedFastestCore(t *task.Task) (int, bool) {
 	}
 	h := b.cfg.Predict.Horizon
 	best, bestScore := -1, 0.0
-	for j, core := range b.cores {
-		c := b.m.Cores[core]
-		if !c.Online() || !t.Affinity.Has(core) {
+	for j := range b.cores {
+		cs := &b.cores[j]
+		c := b.m.Cores[cs.id]
+		if !c.Online() || !t.Affinity.Has(cs.id) {
 			continue
 		}
 		cap := c.Info().BaseSpeed
 		if b.tracker.CoreWarm(j) {
-			cap = b.tracker.Predicted(j, h) * float64(b.occAtSample[j])
+			cap = b.tracker.Predicted(j, h) * float64(cs.occAtSample)
 		}
 		s := cap / float64(c.NrRunnable()+1)
 		if best == -1 || s > bestScore {
-			best, bestScore = core, s
+			best, bestScore = cs.id, s
 		}
 	}
 	if best < 0 {
@@ -727,38 +717,29 @@ func (b *Balancer) Place(m *sim.Machine, t *task.Task) int {
 	return b.prevPlacer.Place(m, t)
 }
 
-// allDone reports whether every managed thread has exited. With a
-// rescan group configured, an empty managed set means "nothing yet",
-// not "done".
-func (b *Balancer) allDone() bool {
-	if len(b.managed) == 0 {
-		return b.cfg.RescanGroup == ""
-	}
-	return b.liveManaged == 0
-}
-
 // sample computes the local core speed: the average, over the managed
 // threads currently on the core, of Δexec/Δwall since this balancer's
 // previous sample (steps 1–2 of §5.1).
 func (b *Balancer) sample(j int, now int64) {
-	coreID := b.cores[j]
+	cs := &b.cores[j]
+	coreID := cs.id
 	c := b.m.Cores[coreID]
 	c.Sync()
-	wall := time.Duration(now - b.sampled[j])
+	wall := time.Duration(now - cs.sampled)
 	if wall <= 0 {
 		// A zero-length window carries no information: leave the window
 		// open (do not consume it) so the next wake samples across the
 		// whole elapsed interval instead of publishing a stale speed.
 		return
 	}
-	b.sampled[j] = now
+	cs.sampled = now
 	// Difference the core's steal account over the window: the share of
 	// wall time kernel noise took regardless of what ran. Busy cores
 	// already see theft through their threads' exec times; the idle-core
 	// estimate below needs it read directly.
 	stolenNow := c.StolenWall()
-	stolenFrac := float64(stolenNow-b.lastStolen[j]) / float64(wall)
-	b.lastStolen[j] = stolenNow
+	stolenFrac := float64(stolenNow-cs.lastStolen) / float64(wall)
+	cs.lastStolen = stolenNow
 	if stolenFrac < 0 {
 		stolenFrac = 0
 	} else if stolenFrac > 1 {
@@ -766,20 +747,21 @@ func (b *Balancer) sample(j int, now int64) {
 	}
 	var sum float64
 	var cnt int
-	for _, t := range b.members[j] {
+	for _, th := range cs.members {
+		t := th.t
 		var s float64
 		if b.cfg.Measure == MeasureWorkRate {
 			// Performance-counter extension (§7): retired work per
 			// wall time. The counter sees contention losses directly.
-			d := t.WorkDone - b.lastWork[t]
-			b.lastWork[t] = t.WorkDone
+			d := t.WorkDone - th.lastWork
+			th.lastWork = t.WorkDone
 			s = d / float64(wall)
 		} else {
 			// Read exec time the way the taskstats interface reports
 			// it: quantised to the accounting tick.
 			read := t.ExecTime / accountingGranularity * accountingGranularity
-			d := read - b.lastExec[t]
-			b.lastExec[t] = read
+			d := read - th.lastExec
+			th.lastExec = read
 			// Weight the CPU share by the core's relative clock: §4
 			// notes the argument "can be easily extended to
 			// heterogeneous systems ... by weighting with the relative
@@ -833,7 +815,7 @@ func (b *Balancer) sample(j int, now int64) {
 		// sample was taken, so the placer can rebase the per-thread
 		// speed to the live occupancy at fork time.
 		b.tracker.ObserveCore(j, b.speeds[j], now)
-		b.occAtSample[j] = occ
+		cs.occAtSample = occ
 	}
 	if reg := b.m.Metrics(); reg != nil {
 		reg.Histogram("speedbal.core_speed", speedBuckets).Observe(b.speeds[j])
@@ -863,12 +845,9 @@ func (b *Balancer) smtFactor(coreID int) float64 {
 	return 1
 }
 
-// globalSpeed averages the per-core speeds (step 3 of §5.1). Cores not
-// yet sampled are skipped.
-func (b *Balancer) globalSpeed() float64 { return avgSpeed(b.speeds) }
-
 // avgSpeed averages the sampled (non-negative) entries of a speed
-// vector — realized or effective.
+// vector — realized or effective. Over the realized speeds it is step 3
+// of §5.1, the global core speed.
 func avgSpeed(xs []float64) float64 {
 	var sum float64
 	var n int
@@ -919,7 +898,7 @@ func (b *Balancer) slowestProbs(eff []float64) []float64 {
 	b.idxBuf = b.idxBuf[:0]
 	for k, e := range eff {
 		b.probOf[k] = -1
-		if e < 0 || !b.tracker.CoreWarm(k) || !b.m.Cores[b.cores[k]].Online() {
+		if e < 0 || !b.tracker.CoreWarm(k) || !b.m.Cores[b.cores[k].id].Online() {
 			continue
 		}
 		b.distBuf = append(b.distBuf, predict.Dist{Mean: e, Std: b.tracker.CoreStd(k)})
@@ -953,11 +932,11 @@ func (b *Balancer) marginalBelow(k int, skEff, sgEff float64) float64 {
 // slow side, which would degenerate an argmax to the first index.
 func (b *Balancer) auditPrediction(j int, eff, probs []float64) {
 	reg := b.m.Metrics()
-	if prev := b.predSlowest[j]; prev >= 0 {
+	if prev := b.cores[j].predSlowest; prev >= 0 {
 		arg := -1
 		var min float64
 		for k, s := range b.speeds {
-			if s < 0 || !b.m.Cores[b.cores[k]].Online() {
+			if s < 0 || !b.m.Cores[b.cores[k].id].Online() {
 				continue
 			}
 			if arg == -1 || s < min {
@@ -984,7 +963,7 @@ func (b *Balancer) auditPrediction(j int, eff, probs []float64) {
 			best = k
 		}
 	}
-	b.predSlowest[j] = best
+	b.cores[j].predSlowest = best
 	if best >= 0 && reg != nil {
 		reg.Histogram("speedbal.predict.slowest_p", probBuckets).Observe(probs[best])
 	}
@@ -1012,7 +991,7 @@ func (b *Balancer) balance(j int, now int64) {
 	if sj < 0 {
 		return
 	}
-	sg := b.globalSpeed()
+	sg := avgSpeed(b.speeds)
 	// Effective (prediction-blended) counterparts. The reactive decision
 	// path below runs on realized speeds exactly as always; the
 	// effective values only ever *add* anticipatory candidates, so
@@ -1025,7 +1004,7 @@ func (b *Balancer) balance(j int, now int64) {
 		probs = b.slowestProbs(eff)
 		b.auditPrediction(j, eff, probs)
 	}
-	local := b.cores[j]
+	local := b.cores[j].id
 	tr := b.m.Tracing()
 	if tr {
 		b.m.Emit(trace.Event{Kind: trace.KindBalanceWake, Core: local, Label: "speedbal",
@@ -1040,7 +1019,7 @@ func (b *Balancer) balance(j int, now int64) {
 		return
 	}
 	block := postMigrationBlock * int64(b.cfg.Interval)
-	if now-b.lastMigration[j] < block {
+	if now-b.cores[j].lastMigration < block {
 		if tr {
 			b.traceSkip(local, local, "post-migration-block", 0, sg)
 		}
@@ -1051,7 +1030,8 @@ func (b *Balancer) balance(j int, now int64) {
 	// core occupied only by unrelated work is slow but has nothing for
 	// us to take).
 	cands := b.cands[:0]
-	for k, remote := range b.cores {
+	for k := range b.cores {
+		remote := b.cores[k].id
 		if k == j || b.speeds[k] < 0 {
 			continue
 		}
@@ -1096,7 +1076,7 @@ func (b *Balancer) balance(j int, now int64) {
 			}
 			predOnly, sk = true, skEff
 		}
-		if now-b.lastMigration[k] < block {
+		if now-b.cores[k].lastMigration < block {
 			if tr {
 				b.traceSkip(local, remote, "post-migration-block", sk, sg)
 			}
@@ -1129,82 +1109,69 @@ func (b *Balancer) balance(j int, now int64) {
 		return cmp.Or(cmp.Compare(a.dist, c.dist), cmp.Compare(a.sk, c.sk), cmp.Compare(a.k, c.k))
 	})
 	for _, c := range cands {
-		victim := b.pickVictim(b.cores[c.k], local)
+		victim := b.pickVictim(c.k)
 		if victim == nil {
 			if tr {
-				b.traceSkip(local, b.cores[c.k], "no-victim", c.sk, sg)
+				b.traceSkip(local, b.cores[c.k].id, "no-victim", c.sk, sg)
 			}
 			continue
 		}
-		remote := b.cores[c.k]
-		// Anticipatory pulls never take the swap path: the swap is a
-		// remedy for a *realized* one-thread-per-core imbalance, and
-		// trading threads on a prediction would double the misprediction
-		// cost (two wrong moves instead of one).
 		if c.predOnly {
-			if tr {
-				b.m.Emit(trace.Event{Kind: trace.KindPredictMigrate, Core: local,
-					Task: victim.ID, TaskName: victim.Name, Src: remote, Dst: local,
-					SLocal: sjEff, SK: b.speeds[c.k], SPred: c.sk, SGlobal: sgEff,
-					Threshold: b.cfg.Threshold})
-			}
-			victim.Affinity = cpuset.Of(local)
-			b.m.MigrateNow(victim, local, "speedbal-predict")
+			// Anticipatory pulls never take the swap path: the swap is a
+			// remedy for a *realized* one-thread-per-core imbalance, and
+			// trading threads on a prediction would double the
+			// misprediction cost (two wrong moves instead of one).
+			b.pull(j, c.k, victim, nil, "speedbal-predict", now, trace.Event{Kind: trace.KindPredictMigrate,
+				SLocal: sjEff, SK: b.speeds[c.k], SPred: c.sk, SGlobal: sgEff})
 			b.Migrations++
 			b.PredictPulls++
 			if reg := b.m.Metrics(); reg != nil {
 				reg.Counter("speedbal.predict.pull").Inc()
 			}
-			if b.OnMigrate != nil {
-				b.OnMigrate(victim, remote, local, now)
-			}
-			b.lastMigration[j] = now
-			b.lastMigration[c.k] = now
 			return
 		}
-		if b.cfg.EnableSwaps && b.countManaged(remote) == 1 && b.countManaged(local) >= 1 {
+		ev := trace.Event{Kind: trace.KindBalancePull, SLocal: sj, SK: c.sk, SGlobal: sg}
+		if b.cfg.EnableSwaps && len(b.cores[c.k].members) == 1 && len(b.cores[j].members) >= 1 {
 			// Pull-only balancing cannot help a one-thread-per-core
 			// imbalance (the pull would just double up the local
 			// queue): exchange the two threads instead, rotating
 			// fast-core time at constant utilisation.
-			give := b.pickVictim(local, remote)
-			if give != nil && give != victim {
-				if tr {
-					b.m.Emit(trace.Event{Kind: trace.KindBalancePull, Core: local,
-						Task: victim.ID, TaskName: victim.Name, Src: remote, Dst: local,
-						SLocal: sj, SK: c.sk, SGlobal: sg, Threshold: b.cfg.Threshold})
-				}
-				victim.Affinity = cpuset.Of(local)
-				give.Affinity = cpuset.Of(remote)
-				b.m.MigrateNow(victim, local, "speedbal-swap")
-				b.m.MigrateNow(give, remote, "speedbal-swap")
+			if give := b.pickVictim(j); give != nil && give != victim {
+				b.pull(j, c.k, victim, give, "speedbal-swap", now, ev)
 				b.Swaps++
-				if b.OnMigrate != nil {
-					b.OnMigrate(victim, remote, local, now)
-					b.OnMigrate(give, local, remote, now)
-				}
-				b.lastMigration[j] = now
-				b.lastMigration[c.k] = now
 				return
 			}
 		}
-		// sched_setaffinity: re-pin to the destination; the Linux
-		// balancer will not touch it afterwards (§5.2).
-		if tr {
-			b.m.Emit(trace.Event{Kind: trace.KindBalancePull, Core: local,
-				Task: victim.ID, TaskName: victim.Name, Src: remote, Dst: local,
-				SLocal: sj, SK: c.sk, SGlobal: sg, Threshold: b.cfg.Threshold})
-		}
-		victim.Affinity = cpuset.Of(local)
-		b.m.MigrateNow(victim, local, "speedbal")
+		b.pull(j, c.k, victim, nil, "speedbal", now, ev)
 		b.Migrations++
-		if b.OnMigrate != nil {
-			b.OnMigrate(victim, b.cores[c.k], local, now)
-		}
-		b.lastMigration[j] = now
-		b.lastMigration[c.k] = now
 		return
 	}
+}
+
+// pull commits one balance decision: it records ev, the decision's
+// evidence, then re-pins victim from core k to the local core j —
+// sched_setaffinity, so the Linux balancer will not touch it afterwards
+// (§5.2) — and, for a swap, give from j to k, and starts both cores'
+// post-migration block. Both affinities are set before either move: the
+// first move can trigger new-idle balancing on the vacated core, which
+// must already see give's new pin.
+func (b *Balancer) pull(j, k int, victim, give *task.Task, label string, now int64, ev trace.Event) {
+	local, remote := b.cores[j].id, b.cores[k].id
+	if b.m.Tracing() {
+		ev.Core, ev.Task, ev.TaskName = local, victim.ID, victim.Name
+		ev.Src, ev.Dst, ev.Threshold = remote, local, b.cfg.Threshold
+		b.m.Emit(ev)
+	}
+	victim.Affinity = cpuset.Of(local)
+	if give != nil {
+		give.Affinity = cpuset.Of(remote)
+	}
+	b.m.MigrateNow(victim, local, label)
+	if give != nil {
+		b.m.MigrateNow(give, remote, label)
+	}
+	b.cores[j].lastMigration = now
+	b.cores[k].lastMigration = now
 }
 
 // traceSkip records a balancer decision not to pull. remote == local
@@ -1215,22 +1182,17 @@ func (b *Balancer) traceSkip(local, remote int, reason string, sk, sg float64) {
 		Label: "speedbal", Reason: reason, SK: sk, SGlobal: sg})
 }
 
-// countManaged returns the number of live managed threads on the core.
-func (b *Balancer) countManaged(core int) int {
-	return len(b.members[b.coreIdx[core]])
-}
-
-// pickVictim chooses which managed thread to pull off the remote core:
-// the least-migrated by default.
-func (b *Balancer) pickVictim(remote, local int) *task.Task {
+// pickVictim chooses which managed thread to pull off core k: the
+// least-migrated by default.
+func (b *Balancer) pickVictim(k int) *task.Task {
 	cands := b.victims[:0]
-	for _, t := range b.members[b.coreIdx[remote]] {
-		if t.State == task.Sleeping || t.State == task.Blocked {
+	for _, th := range b.cores[k].members {
+		if th.t.State == task.Sleeping || th.t.State == task.Blocked {
 			// Re-pinning a sleeper is possible but pointless: its
 			// speed contribution is already reflected in co-runners.
 			continue
 		}
-		cands = append(cands, t)
+		cands = append(cands, th.t)
 	}
 	b.victims = cands
 	if len(cands) == 0 {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/spmd"
 	"repro/internal/task"
 	"repro/internal/topo"
+	"repro/internal/trace"
 )
 
 func newMachine(seed uint64) *sim.Machine {
@@ -278,7 +279,8 @@ func TestOnlyManagedThreadsMoved(t *testing.T) {
 // drained threads, and must re-adopt the core after replug (its
 // post-replug balancer wakes see an idle core and pull work back).
 func TestHotplugUnplugReplug(t *testing.T) {
-	m := sim.New(topo.SMP(4), sim.Config{Seed: 9, NewScheduler: cfs.Factory()})
+	var pulls pullLog
+	m := sim.New(topo.SMP(4), sim.Config{Seed: 9, NewScheduler: cfs.Factory(), Tracer: &pulls})
 	app := spmd.Build(m, spmd.Spec{
 		Name: "app", Threads: 4, Iterations: 1, WorkPerIteration: 2e9,
 		Model: spmd.UPC(), Affinity: cpuset.All(4),
@@ -288,12 +290,6 @@ func TestHotplugUnplugReplug(t *testing.T) {
 
 	const unplugAt = 200 * time.Millisecond
 	const replugAt = 500 * time.Millisecond
-	var badPulls int
-	sb.OnMigrate = func(tk *task.Task, from, to int, now int64) {
-		if to == 3 && now >= int64(unplugAt) && now < int64(replugAt) {
-			badPulls++
-		}
-	}
 	sb.Launch(m, app)
 	var busyAtReplug time.Duration
 	m.NewTimer(func(int64) { m.SetCoreOnline(3, false) }).ScheduleAfter(unplugAt)
@@ -309,6 +305,12 @@ func TestHotplugUnplugReplug(t *testing.T) {
 	for _, tk := range app.Tasks {
 		if tk.State != task.Done {
 			t.Errorf("thread %q lost in state %v", tk.Name, tk.State)
+		}
+	}
+	badPulls := 0
+	for _, e := range pulls {
+		if e.Dst == 3 && e.Time >= int64(unplugAt) && e.Time < int64(replugAt) {
+			badPulls++
 		}
 	}
 	if badPulls > 0 {
@@ -405,5 +407,14 @@ func TestManageAfterAllDoneRearms(t *testing.T) {
 	// ideal, not the 2W static split.
 	if el := app2.Elapsed(); float64(el) > 1.3*1.5e9*2 {
 		t.Errorf("second batch elapsed %v, want well under the 2W static split", el)
+	}
+}
+
+// pullLog is a tracer that keeps the speed balancer's pull decisions.
+type pullLog []trace.Event
+
+func (l *pullLog) Emit(e trace.Event) {
+	if e.Kind == trace.KindBalancePull || e.Kind == trace.KindPredictMigrate {
+		*l = append(*l, e)
 	}
 }
